@@ -2,70 +2,49 @@
 
 #include "core/Checker.h"
 
+#include "core/Checkpoint.h"
 #include "core/Explorer.h"
 #include "core/Fleet.h"
 #include "core/ParallelExplorer.h"
-#include "core/Sandbox.h"
 #include "obs/Counters.h"
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 using namespace fsmc;
 
 const char *fsmc::verdictName(Verdict V) {
-  switch (V) {
-  case Verdict::Pass:
-    return "pass";
-  case Verdict::SafetyViolation:
-    return "safety violation";
-  case Verdict::Deadlock:
-    return "deadlock";
-  case Verdict::Livelock:
-    return "livelock";
-  case Verdict::GoodSamaritanViolation:
-    return "good samaritan violation";
-  case Verdict::Divergence:
-    return "divergence";
-  case Verdict::Crash:
-    return "crash";
-  case Verdict::Hang:
-    return "hang";
-  case Verdict::DataRace:
-    return "data race";
-  }
-  return "?";
+  // In Verdict's declaration order.
+  static const char *const Names[] = {
+      "pass",       "safety violation", "deadlock", "livelock",
+      "good samaritan violation",       "divergence", "crash",
+      "hang",       "data race"};
+  return unsigned(V) < std::size(Names) ? Names[unsigned(V)] : "?";
 }
 
+namespace {
+
+template <stats::Merge M, typename T> void mergeField(T &Into, const T &From) {
+  if constexpr (M == stats::Sum)
+    Into += From;
+  else if constexpr (M == stats::Max)
+    Into = std::max(Into, From);
+}
+
+/// Resolves the Counter column of FSMC_SEARCH_STATS.
+namespace fold {
+using enum obs::Counter;
+constexpr obs::Counter None = NumCounters;
+} // namespace fold
+
+} // namespace
+
 void fsmc::mergeSearchStats(SearchStats &Into, const SearchStats &From) {
-  Into.Executions += From.Executions;
-  Into.Transitions += From.Transitions;
-  Into.Preemptions += From.Preemptions;
-  Into.NonterminatingExecutions += From.NonterminatingExecutions;
-  Into.PrunedExecutions += From.PrunedExecutions;
-  Into.PorBranchesPruned += From.PorBranchesPruned;
-  Into.PorSleepHits += From.PorSleepHits;
-  Into.PorFairWakes += From.PorFairWakes;
-  Into.MaxDepth = std::max(Into.MaxDepth, From.MaxDepth);
-  Into.FairEdgeAdditions += From.FairEdgeAdditions;
-  Into.BugsFound += From.BugsFound;
-  Into.MaxThreads = std::max(Into.MaxThreads, From.MaxThreads);
-  Into.MaxSyncOps = std::max(Into.MaxSyncOps, From.MaxSyncOps);
-  Into.Divergences += From.Divergences;
-  Into.DivergenceRetries += From.DivergenceRetries;
-  Into.Crashes += From.Crashes;
-  Into.Hangs += From.Hangs;
-  Into.Checkpoints += From.Checkpoints;
-  Into.RacesChecked += From.RacesChecked;
-  Into.RacesFound += From.RacesFound;
-  Into.FleetWorkerCrashes += From.FleetWorkerCrashes;
-  Into.FleetReissues += From.FleetReissues;
-  Into.FleetRespawns += From.FleetRespawns;
-  Into.FleetQuarantined += From.FleetQuarantined;
-  Into.StateHits += From.StateHits;
-  Into.BufferedStores += From.BufferedStores;
-  Into.StoreFlushes += From.StoreFlushes;
-  Into.EstimateMass += From.EstimateMass;
+#define FSMC_MERGE(Field, M, Key, Json, Ckpt, C)                               \
+  mergeField<stats::M>(Into.Field, From.Field);
+  FSMC_SEARCH_STATS(FSMC_MERGE)
+#undef FSMC_MERGE
 }
 
 void fsmc::foldStatsDeltaIntoCounters(obs::WorkerCounters *Ctr,
@@ -73,30 +52,11 @@ void fsmc::foldStatsDeltaIntoCounters(obs::WorkerCounters *Ctr,
                                       const SearchStats &Now) {
   if (!Ctr)
     return;
-  using obs::Counter;
-  auto D = [&](Counter C, uint64_t New, uint64_t Old) {
-    if (New > Old)
-      Ctr->add(C, New - Old);
-  };
-  D(Counter::Executions, Now.Executions, Prev.Executions);
-  D(Counter::Transitions, Now.Transitions, Prev.Transitions);
-  D(Counter::Preemptions, Now.Preemptions, Prev.Preemptions);
-  D(Counter::NonterminatingExecutions, Now.NonterminatingExecutions,
-    Prev.NonterminatingExecutions);
-  D(Counter::StatefulPrunes, Now.PrunedExecutions, Prev.PrunedExecutions);
-  D(Counter::PorSleepHits, Now.PorSleepHits, Prev.PorSleepHits);
-  D(Counter::PorBranchesPruned, Now.PorBranchesPruned,
-    Prev.PorBranchesPruned);
-  D(Counter::PorFairWakes, Now.PorFairWakes, Prev.PorFairWakes);
-  D(Counter::FairEdgeAdds, Now.FairEdgeAdditions, Prev.FairEdgeAdditions);
-  D(Counter::BugsFound, Now.BugsFound, Prev.BugsFound);
-  D(Counter::Divergences, Now.Divergences, Prev.Divergences);
-  D(Counter::DivergenceRetries, Now.DivergenceRetries,
-    Prev.DivergenceRetries);
-  // RacesFound is deliberately absent; see the declaration comment.
-  D(Counter::RacesChecked, Now.RacesChecked, Prev.RacesChecked);
-  D(Counter::BufferedStores, Now.BufferedStores, Prev.BufferedStores);
-  D(Counter::StoreFlushes, Now.StoreFlushes, Prev.StoreFlushes);
+#define FSMC_FOLD(Field, M, Key, Json, Ckpt, C)                                \
+  if (fold::C != fold::None && Now.Field > Prev.Field)                         \
+    Ctr->add(fold::C, uint64_t(Now.Field - Prev.Field));
+  FSMC_SEARCH_STATS(FSMC_FOLD)
+#undef FSMC_FOLD
   Ctr->maxGauge(obs::Gauge::MaxDepth, Now.MaxDepth);
 }
 
@@ -146,38 +106,54 @@ void fsmc::finalizeRaces(CheckResult &R, const CheckerOptions &Opts) {
   }
 }
 
-CheckResult fsmc::check(const TestProgram &Program,
-                        const CheckerOptions &Opts) {
+CheckResult fsmc::runFrontier(const TestProgram &Program,
+                              const CheckerOptions &Opts,
+                              const CheckpointState &Frontier) {
   assert(Program.Body && "test program has no body");
   CheckerOptions Effective = Opts;
-  // Random walks never exhaust; insist on some budget so check() returns.
+  // Random walks never exhaust; insist on some budget so the run returns.
   if (Effective.Kind == SearchKind::RandomWalk &&
       Effective.MaxExecutions == 0 && Effective.TimeBudgetSeconds <= 0)
     Effective.MaxExecutions = 10000;
   if (Effective.StatefulPruning || Effective.ExportStateSignatures)
     Effective.TrackCoverage = true;
 
-  // Process isolation forces serial exploration (the frontier must live in
-  // one parent); stateful pruning stays in-process because prune keys
-  // cannot cross the fork boundary.
+  // Prefix sharding needs a deterministic frontier (no random walks) and
+  // a search independent of visit order (no stateful pruning). Process
+  // isolation keeps the frontier in one parent, so it takes random walks,
+  // but prune keys cannot cross the fork boundary.
+  const bool Shardable = Effective.Kind != SearchKind::RandomWalk &&
+                         !Effective.StatefulPruning;
   CheckResult R;
-  if (Effective.Isolate == IsolationMode::Batch &&
-      !Effective.StatefulPruning) {
-    R = runSandboxed(Program, Effective);
-  } else if (Effective.FleetWorkers >= 1 &&
-             Effective.Kind != SearchKind::RandomWalk &&
-             !Effective.StatefulPruning) {
-    // Fleet mode: supervised multi-process search (docs/FLEET.md). Random
-    // walks and stateful pruning fall back to the serial engine exactly as
-    // they do for Jobs > 1.
-    R = runFleet(Program, Effective);
-  } else if (Effective.Jobs > 1) {
-    ParallelExplorer PE(Program, Effective);
-    R = PE.run();
+  if (Frontier.Frontier.empty()) {
+    // The frontier was taken exactly at exhaustion; nothing to run.
+    R.Stats = Frontier.Stats;
+    R.Stats.SearchExhausted = true;
+    R.Stats.DistinctStates = Frontier.States.size();
+    if (Frontier.Bug) {
+      R.Bug = Frontier.Bug;
+      R.Kind = Frontier.Bug->Kind;
+    }
+    if (Effective.ExportStateSignatures)
+      R.StateSignatures = Frontier.States;
+  } else if ((Effective.Isolate == IsolationMode::Batch &&
+              !Effective.StatefulPruning) ||
+             (Effective.FleetWorkers >= 1 && Shardable)) {
+    R = runFleet(Program, Effective, Frontier);
+  } else if (Effective.Jobs > 1 && Shardable) {
+    R = ParallelExplorer(Program, Effective, Frontier).run();
   } else {
     Explorer E(Program, Effective);
+    E.preloadFrontier(Frontier);
     R = E.run();
   }
   finalizeRaces(R, Effective);
   return R;
+}
+
+CheckResult fsmc::check(const TestProgram &Program,
+                        const CheckerOptions &Opts) {
+  CheckpointState Root;
+  Root.Frontier.emplace_back(); // The whole choice tree.
+  return runFrontier(Program, Opts, Root);
 }

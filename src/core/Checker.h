@@ -56,10 +56,10 @@ enum class Verdict {
                           ///< scheduling/chooseInt: a recorded schedule did
                           ///< not replay even after the configured retries.
                           ///< A checker limitation, never a workload bug.
-  Crash,                  ///< Sandboxed execution died on a signal or
-                          ///< unexpected exit (--isolate=batch only).
-  Hang,                   ///< Sandboxed execution made no progress for the
-                          ///< watchdog timeout and was killed.
+  Crash,                  ///< An isolated execution died on a signal or
+                          ///< unexpected exit (--isolate=batch, --fleet).
+  Hang,                   ///< An isolated execution made no progress for
+                          ///< the watchdog timeout and was killed.
   DataRace,               ///< Concurrent conflicting accesses to a plain
                           ///< shared variable with no happens-before edge
                           ///< (src/race/RaceDetector.h; --races=on|fatal).
@@ -133,9 +133,9 @@ struct SearchStats {
   uint64_t Divergences = 0;
   /// Re-executions spent trying to get a mismatching prefix to replay.
   uint64_t DivergenceRetries = 0;
-  /// Sandboxed executions that died on a signal / unexpected exit.
+  /// Isolated executions that died on a signal / unexpected exit.
   uint64_t Crashes = 0;
-  /// Sandboxed executions killed by the hang watchdog.
+  /// Isolated executions killed by the hang watchdog.
   uint64_t Hangs = 0;
   /// Checkpoints written (periodic + on interrupt).
   uint64_t Checkpoints = 0;
@@ -143,9 +143,7 @@ struct SearchStats {
   uint64_t RacesChecked = 0;
   /// Distinct data races found (deduplicated by race description).
   uint64_t RacesFound = 0;
-  /// Fleet mode (--fleet=N; docs/FLEET.md). Zero on every non-fleet run
-  /// and on every healthy fleet run, so stats-json omits zero values and
-  /// legacy output stays byte-identical.
+  /// Fleet mode (--fleet=N; docs/FLEET.md); zero on healthy runs.
   /// Worker processes that died (signal or unexpected exit) mid-search.
   uint64_t FleetWorkerCrashes = 0;
   /// Work units re-issued to a surviving worker after their holder died
@@ -154,12 +152,10 @@ struct SearchStats {
   /// Replacement workers forked after a death, within the restart budget.
   uint64_t FleetRespawns = 0;
   /// Work units quarantined after killing K consecutive workers; each
-  /// becomes a replayable Verdict::Crash incident.
+  /// becomes a Verdict::Crash incident.
   uint64_t FleetQuarantined = 0;
-  /// Weak-memory exploration (--memory=tso|pso; docs/MEMORY.md). Zero
-  /// under --memory=sc, so stats-json omits them and sc output stays
-  /// byte-identical.
-  /// Stores enqueued into per-thread store buffers.
+  /// Weak-memory exploration (--memory=tso|pso; docs/MEMORY.md); zero
+  /// under --memory=sc. Stores enqueued into per-thread store buffers.
   uint64_t BufferedStores = 0;
   /// Buffered stores committed to memory (by flush agents, fences, or
   /// implicit drains at sync operations).
@@ -177,10 +173,68 @@ struct SearchStats {
   bool Interrupted = false;     ///< Stopped by CheckerOptions::InterruptFlag.
 };
 
-/// Accumulates \p From into \p Into: counters add, maxima take the max.
-/// Budget flags (TimedOut &c.) stay owned by the aggregating driver and
-/// are not merged. Shared by the parallel driver, the sandbox parent, and
-/// checkpoint resume.
+/// The SearchStats schema: one row per field, driving mergeSearchStats,
+/// foldStatsDeltaIntoCounters, the stats-json keys (obs/StatsJson.cpp)
+/// and the checkpoint `stat` lines (core/Checkpoint.cpp). A new stat is
+/// one field plus one row; StatsSchemaTest fails for a field without one.
+///
+///   X(Field, Merge, Key, Json, Ckpt, Counter)
+///
+/// Merge: Sum adds, Max keeps the larger, Keep leaves the field to the
+/// aggregating engine (budget flags, wall time, the coverage count).
+/// Json / Ckpt: Always writes the key, NonZero omits it at zero (so
+/// reports and checkpoints of runs that never touch a feature keep their
+/// earlier bytes), Never leaves it out. Rows are in stats-json key order;
+/// a floating-point row is a checkpoint `statf` line. Counter: the live
+/// obs::Counter the field folds into, or None.
+#define FSMC_SEARCH_STATS(X)                                                  \
+  X(Executions, Sum, "executions", Always, Always, Executions)                \
+  X(Transitions, Sum, "transitions", Always, Always, Transitions)             \
+  X(Preemptions, Sum, "preemptions", Always, Always, Preemptions)             \
+  X(NonterminatingExecutions, Sum, "nonterminating_executions", Always,      \
+    Always, NonterminatingExecutions)                                         \
+  X(PrunedExecutions, Sum, "pruned_executions", Always, Always,              \
+    StatefulPrunes)                                                           \
+  X(PorSleepHits, Sum, "por_sleep_hits", NonZero, Always, PorSleepHits)       \
+  X(PorBranchesPruned, Sum, "por_branches_pruned", NonZero, Always,          \
+    PorBranchesPruned)                                                        \
+  X(PorFairWakes, Sum, "por_fair_wakes", NonZero, Always, PorFairWakes)       \
+  X(MaxDepth, Max, "max_depth", Always, Always, None)                         \
+  X(DistinctStates, Keep, "distinct_states", Always, Never, None)             \
+  X(FairEdgeAdditions, Sum, "fair_edge_additions", Always, Always,           \
+    FairEdgeAdds)                                                             \
+  X(BugsFound, Sum, "bugs_found", Always, Always, BugsFound)                  \
+  X(MaxThreads, Max, "max_threads", Always, Always, None)                     \
+  X(MaxSyncOps, Max, "max_sync_ops", Always, Always, None)                    \
+  X(Divergences, Sum, "divergences", NonZero, Always, Divergences)            \
+  X(DivergenceRetries, Sum, "divergence_retries", NonZero, Always,           \
+    DivergenceRetries)                                                        \
+  X(Crashes, Sum, "crashes", NonZero, Always, None)                           \
+  X(Hangs, Sum, "hangs", NonZero, Always, None)                               \
+  X(Checkpoints, Sum, "checkpoints", NonZero, Always, None)                   \
+  X(RacesChecked, Sum, "races_checked", NonZero, Always, RacesChecked)        \
+  X(RacesFound, Sum, "races_found", NonZero, Always, None)                    \
+  X(StateHits, Sum, "state_hits", Never, NonZero, None)                       \
+  X(FleetWorkerCrashes, Sum, "fleet_worker_crashes", NonZero, NonZero, None)  \
+  X(FleetReissues, Sum, "fleet_reissues", NonZero, NonZero, None)             \
+  X(FleetRespawns, Sum, "fleet_respawns", NonZero, NonZero, None)             \
+  X(FleetQuarantined, Sum, "fleet_quarantined", NonZero, NonZero, None)       \
+  X(BufferedStores, Sum, "buffered_stores", NonZero, NonZero, BufferedStores) \
+  X(StoreFlushes, Sum, "store_flushes", NonZero, NonZero, StoreFlushes)       \
+  X(EstimateMass, Sum, "estimate_mass", Never, NonZero, None)                 \
+  X(Seconds, Keep, "seconds", Never, Never, None)                             \
+  X(TimedOut, Keep, "timed_out", Never, Never, None)                          \
+  X(ExecutionCapHit, Keep, "execution_cap_hit", Never, Never, None)           \
+  X(SearchExhausted, Keep, "search_exhausted", Never, Never, None)            \
+  X(Interrupted, Keep, "interrupted", Never, Never, None)
+
+/// Column values of FSMC_SEARCH_STATS.
+namespace stats {
+enum Merge { Sum, Max, Keep };
+enum Emit { Always, NonZero, Never };
+} // namespace stats
+
+/// Accumulates \p From into \p Into by each row's Merge rule.
 void mergeSearchStats(SearchStats &Into, const SearchStats &From);
 
 /// Happens-before data race detection over plain shared variables
@@ -197,9 +251,10 @@ enum class RaceCheckMode {
 /// Where test-program code runs relative to the checker (--isolate=).
 enum class IsolationMode {
   Off,   ///< In-process; a workload crash kills the checker (fast path).
-  Batch, ///< Fork a worker per batch of executions; crashes and hangs are
+  Batch, ///< Fork a child per batch of executions; crashes and hangs are
          ///< harvested as Verdict::Crash / Verdict::Hang with a repro
-         ///< schedule, and the search continues (core/Sandbox.h).
+         ///< schedule, and the search continues (the fleet's isolated
+         ///< rung, core/Fleet.h).
 };
 
 /// Knobs for one checker run. Defaults give the paper's configuration:
@@ -324,12 +379,15 @@ struct CheckerOptions {
   /// RandomWalk, Jobs is ignored); StatefulPruning falls back to the
   /// in-process path because prune keys cannot cross process boundaries.
   IsolationMode Isolate = IsolationMode::Off;
-  /// Executions per forked worker under IsolationMode::Batch; batching
-  /// amortizes the fork cost.
-  int SandboxBatchSize = 64;
-  /// Sandbox watchdog: a child that produces no progress records for this
-  /// long is SIGKILLed and the execution recorded as Verdict::Hang. Must
-  /// exceed the wall time of the slowest single execution.
+  /// Executions per forked batch child under IsolationMode::Batch, and the
+  /// execution budget per issued fleet work unit (a worker that exhausts
+  /// it commits the unit with its remainder prefixes). Batching amortizes
+  /// the fork and protocol cost; small batches recover at finer grain.
+  int BatchSize = 64;
+  /// Watchdog: an isolated child that produces no progress records for
+  /// this long is SIGKILLed and the execution recorded as Verdict::Hang;
+  /// a fleet worker silent this long is declared hung. Must exceed the
+  /// wall time of the slowest single execution.
   double HangTimeoutSeconds = 10.0;
   /// A recorded prefix that fails to replay (the workload is
   /// nondeterministic beyond scheduling/chooseInt) is re-executed this
@@ -353,23 +411,14 @@ struct CheckerOptions {
   /// crash recovery, re-issue and graceful degradation (core/Fleet.h).
   /// Verdicts and incident sets match --jobs=N on exhaustive searches.
   /// RandomWalk and StatefulPruning fall back to the serial engine, as
-  /// they do for Jobs; mutually exclusive with IsolationMode::Batch.
+  /// they do for Jobs; IsolationMode::Batch takes precedence.
   int FleetWorkers = 0;
-  /// Execution budget per issued work unit; a worker that exhausts it
-  /// commits the unit with its remainder prefixes so the coordinator can
-  /// re-lease the rest. Small batches = fine-grained recovery, large
-  /// batches = less protocol overhead.
-  int FleetBatchSize = 64;
   /// A unit whose attempt dies this many consecutive times is quarantined
-  /// as a replayable Verdict::Crash incident instead of being re-issued.
+  /// as a Verdict::Crash incident instead of being re-issued.
   int FleetQuarantine = 3;
   /// Replacement workers the coordinator may fork after deaths before
   /// degrading to reduced width. Negative = 2*FleetWorkers+2.
   int FleetRespawnBudget = -1;
-  /// Heartbeat silence after which a live-but-stuck worker is declared
-  /// hung and killed; 0 disables (chaos tests use HangTimeoutSeconds-like
-  /// tuning). Defaults to HangTimeoutSeconds at runFleet entry when <= 0.
-  double FleetHeartbeatTimeout = 0;
 };
 
 /// A test program: a closure run as thread 0 of every execution. It may
@@ -388,7 +437,7 @@ struct CheckResult {
   /// Sorted distinct state signatures; filled only when
   /// CheckerOptions::ExportStateSignatures is set.
   std::vector<uint64_t> StateSignatures;
-  /// Every crash/hang the sandbox harvested and every distinct data race
+  /// Every crash/hang harvested in isolation and every distinct data race
   /// the detector found (Bug holds the first workload bug, or the first
   /// incident when no real bug was found).
   std::vector<BugReport> Incidents;
@@ -400,7 +449,7 @@ struct CheckResult {
   std::shared_ptr<obs::SearchProfile> Profile;
 
   /// True for workload bugs. Divergence is a checker limitation and Crash
-  /// and Hang count: a workload that dies under sandboxing is buggy.
+  /// and Hang count: a workload that dies in isolation is buggy.
   bool foundBug() const {
     return Kind != Verdict::Pass && Kind != Verdict::Divergence;
   }
@@ -410,13 +459,20 @@ struct CheckResult {
 /// This is the library's main entry point.
 CheckResult check(const TestProgram &Program, const CheckerOptions &Opts);
 
+/// Explores the unexplored region \p Frontier describes, on top of its
+/// committed stats, coverage and first bug, and returns the cumulative
+/// result. The one place an engine is chosen: check() passes the
+/// one-unit root frontier, resumeCheck() a checkpoint, replaySchedule()
+/// one fully frozen unit capped at one execution.
+CheckResult runFrontier(const TestProgram &Program, const CheckerOptions &Opts,
+                        const CheckpointState &Frontier);
+
 /// Folds the delta between two cumulative SearchStats snapshots into a
 /// live counter shard, so --stats-json counters and the progress line
 /// keep working when executions happen in another process. Null \p Ctr is
-/// a no-op. Shared by the sandbox parent and the fleet coordinator.
-/// RacesFound is deliberately absent: child processes dedup races only
-/// within themselves, so the supervising parent bumps that counter per
-/// globally-novel race at commit time.
+/// a no-op. RacesFound has no counter row: child processes dedup races
+/// only within themselves, so the result accumulator bumps that counter
+/// per globally-novel race at commit time.
 void foldStatsDeltaIntoCounters(obs::WorkerCounters *Ctr,
                                 const SearchStats &Prev,
                                 const SearchStats &Now);
@@ -425,7 +481,7 @@ void foldStatsDeltaIntoCounters(obs::WorkerCounters *Ctr,
 /// samaritan violations) for a bug harvested from a child process.
 void bumpBugClassCounter(obs::WorkerCounters *Ctr, Verdict V);
 
-/// Top-level race promotion, shared by check() and resumeCheck(): when
+/// Top-level race promotion, applied by runFrontier(): when
 /// race detection is on and \p R carries DataRace incidents, reconciles
 /// Stats.RacesFound with them and -- if no workload bug outranks the
 /// races -- promotes the verdict to Verdict::DataRace with the first race

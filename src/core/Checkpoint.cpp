@@ -2,19 +2,14 @@
 
 #include "core/Checkpoint.h"
 
-#include "core/Explorer.h"
-#include "core/Fleet.h"
-#include "core/ParallelExplorer.h"
-#include "core/Sandbox.h"
-#include "obs/SearchProfile.h"
-
 #include <algorithm>
-#include <chrono>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <unordered_set>
+#include <type_traits>
+#include <utility>
 
 using namespace fsmc;
 
@@ -31,52 +26,83 @@ namespace {
 
 /// Stable wire tokens for Verdict in checkpoint files (independent of
 /// verdictName, whose strings contain spaces).
+constexpr std::pair<Verdict, const char *> VerdictWire[] = {
+    {Verdict::Pass, "pass"},
+    {Verdict::SafetyViolation, "safety"},
+    {Verdict::Deadlock, "deadlock"},
+    {Verdict::Livelock, "livelock"},
+    {Verdict::GoodSamaritanViolation, "goodsam"},
+    {Verdict::Divergence, "divergence"},
+    {Verdict::Crash, "crash"},
+    {Verdict::Hang, "hang"},
+    {Verdict::DataRace, "datarace"},
+};
+
 const char *verdictWire(Verdict V) {
-  switch (V) {
-  case Verdict::Pass:
-    return "pass";
-  case Verdict::SafetyViolation:
-    return "safety";
-  case Verdict::Deadlock:
-    return "deadlock";
-  case Verdict::Livelock:
-    return "livelock";
-  case Verdict::GoodSamaritanViolation:
-    return "goodsam";
-  case Verdict::Divergence:
-    return "divergence";
-  case Verdict::Crash:
-    return "crash";
-  case Verdict::Hang:
-    return "hang";
-  case Verdict::DataRace:
-    return "datarace";
-  }
+  for (const auto &[K, W] : VerdictWire)
+    if (K == V)
+      return W;
   return "pass";
 }
 
 bool parseVerdictWire(const std::string &S, Verdict &V) {
-  if (S == "pass")
-    V = Verdict::Pass;
-  else if (S == "safety")
-    V = Verdict::SafetyViolation;
-  else if (S == "deadlock")
-    V = Verdict::Deadlock;
-  else if (S == "livelock")
-    V = Verdict::Livelock;
-  else if (S == "goodsam")
-    V = Verdict::GoodSamaritanViolation;
-  else if (S == "divergence")
-    V = Verdict::Divergence;
-  else if (S == "crash")
-    V = Verdict::Crash;
-  else if (S == "hang")
-    V = Verdict::Hang;
-  else if (S == "datarace")
-    V = Verdict::DataRace;
-  else
+  for (const auto &[K, W] : VerdictWire)
+    if (S == W) {
+      V = K;
+      return true;
+    }
+  return false;
+}
+
+/// One checkpoint stat line: `stat` for integer fields, `statf` with a
+/// lossless hexfloat for floating-point ones.
+template <typename T>
+void writeStat(std::ostream &OS, const char *Key, T V) {
+  if constexpr (std::is_floating_point_v<T>) {
+    char Buf[48];
+    snprintf(Buf, sizeof Buf, "%a", double(V));
+    OS << "statf " << Key << " " << Buf << "\n";
+  } else {
+    OS << "stat " << Key << " " << uint64_t(V) << "\n";
+  }
+}
+
+/// Parses a stat value: decimal for `stat`, any strtod form for `statf`.
+bool parseStatValue(const std::string &Tok, bool Float, uint64_t &U,
+                    double &D) {
+  if (Tok.empty())
     return false;
-  return true;
+  if (Float) {
+    char *End = nullptr;
+    D = std::strtod(Tok.c_str(), &End);
+    return End != Tok.c_str() && *End == '\0';
+  }
+  const char *E = Tok.data() + Tok.size();
+  auto [P, Ec] = std::from_chars(Tok.data(), E, U);
+  return Ec == std::errc() && P == E;
+}
+
+template <typename T> void assignStat(T &Field, bool Float, uint64_t U,
+                                      double D) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (Float)
+      Field = D;
+  } else if (!Float) {
+    Field = T(U);
+  }
+}
+
+/// Stores a parsed stat by its checkpoint key; unknown keys are skipped
+/// for forward compatibility.
+void setStat(SearchStats &S, const std::string &Name, bool Float, uint64_t U,
+             double D) {
+#define FSMC_CKPT_READ(Field, M, Key, Json, Ckpt, C)                           \
+  if (stats::Ckpt != stats::Never && Name == Key) {                            \
+    assignStat(S.Field, Float, U, D);                                          \
+    return;                                                                    \
+  }
+  FSMC_SEARCH_STATS(FSMC_CKPT_READ)
+#undef FSMC_CKPT_READ
 }
 
 } // namespace
@@ -118,58 +144,17 @@ std::string fsmc::encodeCheckpoint(const CheckpointState &CK,
   OS << "program " << Program << "\n";
   OS << "seed " << Seed << "\n";
   OS << "rng " << CK.Rng << "\n";
-  const SearchStats &S = CK.Stats;
-  OS << "stat executions " << S.Executions << "\n";
-  OS << "stat transitions " << S.Transitions << "\n";
-  OS << "stat preemptions " << S.Preemptions << "\n";
-  OS << "stat nonterminating_executions " << S.NonterminatingExecutions
-     << "\n";
-  OS << "stat pruned_executions " << S.PrunedExecutions << "\n";
-  OS << "stat por_branches_pruned " << S.PorBranchesPruned << "\n";
-  OS << "stat por_sleep_hits " << S.PorSleepHits << "\n";
-  OS << "stat por_fair_wakes " << S.PorFairWakes << "\n";
-  OS << "stat max_depth " << S.MaxDepth << "\n";
-  OS << "stat fair_edge_additions " << S.FairEdgeAdditions << "\n";
-  OS << "stat bugs_found " << S.BugsFound << "\n";
-  OS << "stat max_threads " << S.MaxThreads << "\n";
-  OS << "stat max_sync_ops " << S.MaxSyncOps << "\n";
-  OS << "stat divergences " << S.Divergences << "\n";
-  OS << "stat divergence_retries " << S.DivergenceRetries << "\n";
-  OS << "stat crashes " << S.Crashes << "\n";
-  OS << "stat hangs " << S.Hangs << "\n";
-  OS << "stat checkpoints " << S.Checkpoints << "\n";
-  // Older readers skip unknown stat keys, so these are forward-compatible.
-  OS << "stat races_checked " << S.RacesChecked << "\n";
-  OS << "stat races_found " << S.RacesFound << "\n";
-  if (S.StateHits)
-    OS << "stat state_hits " << S.StateHits << "\n";
-  // Fleet recovery counters (docs/FLEET.md): nonzero only when a fleet
-  // run actually lost workers, so healthy checkpoints stay byte-identical
-  // to earlier revisions.
-  if (S.FleetWorkerCrashes)
-    OS << "stat fleet_worker_crashes " << S.FleetWorkerCrashes << "\n";
-  if (S.FleetReissues)
-    OS << "stat fleet_reissues " << S.FleetReissues << "\n";
-  if (S.FleetRespawns)
-    OS << "stat fleet_respawns " << S.FleetRespawns << "\n";
-  if (S.FleetQuarantined)
-    OS << "stat fleet_quarantined " << S.FleetQuarantined << "\n";
-  // Weak-memory counters (docs/MEMORY.md): nonzero only under
-  // --memory=tso|pso, so sc checkpoints stay byte-identical to earlier
+  // Stat lines follow the schema's rows. Readers skip unknown keys, and
+  // NonZero rows (fleet recovery, weak memory, the estimator mass) keep
+  // checkpoints of runs without those features byte-identical to earlier
   // revisions.
-  if (S.BufferedStores)
-    OS << "stat buffered_stores " << S.BufferedStores << "\n";
-  if (S.StoreFlushes)
-    OS << "stat store_flushes " << S.StoreFlushes << "\n";
-  // The estimator mass is a double; 'statf' carries it as a lossless
-  // hexfloat. Written only when the estimator ran, so checkpoints from
-  // estimator-off runs stay byte-identical to earlier revisions (and old
-  // readers skip the unknown key either way).
-  if (S.EstimateMass != 0) {
-    char Buf[48];
-    snprintf(Buf, sizeof Buf, "%a", S.EstimateMass);
-    OS << "statf estimate_mass " << Buf << "\n";
-  }
+  const SearchStats &S = CK.Stats;
+#define FSMC_CKPT_WRITE(Field, M, Key, Json, Ckpt, C)                          \
+  if (stats::Ckpt == stats::Always ||                                          \
+      (stats::Ckpt == stats::NonZero && S.Field != 0))                         \
+    writeStat(OS, Key, S.Field);
+  FSMC_SEARCH_STATS(FSMC_CKPT_WRITE)
+#undef FSMC_CKPT_WRITE
   if (CK.Bug) {
     OS << "bug " << verdictWire(CK.Bug->Kind) << " " << CK.Bug->AtExecution
        << " " << CK.Bug->AtStep << " " << CK.Bug->Schedule << "\n";
@@ -228,86 +213,20 @@ bool fsmc::decodeCheckpoint(const std::string &Text, CheckpointState &CK,
         Err = "corrupt checkpoint: bad rng value in '" + Line + "'";
         return false;
       }
-    } else if (Key == "stat") {
-      std::string Name;
-      uint64_t Val = 0;
-      if (!(LS >> Name >> Val)) {
-        // Unknown NAMES are fine (forward compatibility) but a known line
-        // shape with an unparseable VALUE means the file was damaged.
-        Err = "corrupt checkpoint: bad stat line '" + Line + "'";
-        return false;
-      }
-      SearchStats &S = CK.Stats;
-      if (Name == "executions")
-        S.Executions = Val;
-      else if (Name == "transitions")
-        S.Transitions = Val;
-      else if (Name == "preemptions")
-        S.Preemptions = Val;
-      else if (Name == "nonterminating_executions")
-        S.NonterminatingExecutions = Val;
-      else if (Name == "pruned_executions")
-        S.PrunedExecutions = Val;
-      else if (Name == "por_branches_pruned" || Name == "sleep_set_prunes")
-        S.PorBranchesPruned = Val; // sleep_set_prunes: the v1 key.
-      else if (Name == "por_sleep_hits")
-        S.PorSleepHits = Val;
-      else if (Name == "por_fair_wakes")
-        S.PorFairWakes = Val;
-      else if (Name == "max_depth")
-        S.MaxDepth = Val;
-      else if (Name == "fair_edge_additions")
-        S.FairEdgeAdditions = Val;
-      else if (Name == "bugs_found")
-        S.BugsFound = Val;
-      else if (Name == "max_threads")
-        S.MaxThreads = int(Val);
-      else if (Name == "max_sync_ops")
-        S.MaxSyncOps = Val;
-      else if (Name == "divergences")
-        S.Divergences = Val;
-      else if (Name == "divergence_retries")
-        S.DivergenceRetries = Val;
-      else if (Name == "crashes")
-        S.Crashes = Val;
-      else if (Name == "hangs")
-        S.Hangs = Val;
-      else if (Name == "checkpoints")
-        S.Checkpoints = Val;
-      else if (Name == "races_checked")
-        S.RacesChecked = Val;
-      else if (Name == "races_found")
-        S.RacesFound = Val;
-      else if (Name == "state_hits")
-        S.StateHits = Val;
-      else if (Name == "fleet_worker_crashes")
-        S.FleetWorkerCrashes = Val;
-      else if (Name == "fleet_reissues")
-        S.FleetReissues = Val;
-      else if (Name == "fleet_respawns")
-        S.FleetRespawns = Val;
-      else if (Name == "fleet_quarantined")
-        S.FleetQuarantined = Val;
-      else if (Name == "buffered_stores")
-        S.BufferedStores = Val;
-      else if (Name == "store_flushes")
-        S.StoreFlushes = Val;
-      // Unknown stat keys are skipped for forward compatibility.
-    } else if (Key == "statf") {
+    } else if (Key == "stat" || Key == "statf") {
+      // Unknown NAMES are fine (forward compatibility) but a known line
+      // shape with an unparseable VALUE means the file was damaged.
       std::string Name, Tok;
-      if (!(LS >> Name >> Tok)) {
-        Err = "corrupt checkpoint: bad statf line '" + Line + "'";
+      bool Float = Key == "statf";
+      uint64_t U = 0;
+      double D = 0;
+      if (!(LS >> Name >> Tok) || !parseStatValue(Tok, Float, U, D)) {
+        Err = "corrupt checkpoint: bad " + Key + " line '" + Line + "'";
         return false;
       }
-      if (Name == "estimate_mass") {
-        char *End = nullptr;
-        CK.Stats.EstimateMass = std::strtod(Tok.c_str(), &End);
-        if (End == Tok.c_str() || *End != '\0') {
-          Err = "corrupt checkpoint: bad estimate_mass value '" + Tok + "'";
-          return false;
-        }
-      }
-      // Unknown float stat keys are skipped for forward compatibility.
+      if (Name == "sleep_set_prunes")
+        Name = "por_branches_pruned"; // The v1 key.
+      setStat(CK.Stats, Name, Float, U, D);
     } else if (Key == "bug") {
       std::string KindTok, Schedule;
       uint64_t AtExec = 0, AtStep = 0;
@@ -408,168 +327,5 @@ bool fsmc::readCheckpointFile(const std::string &Path, CheckpointState &CK,
 CheckResult fsmc::resumeCheck(const TestProgram &Program,
                               const CheckerOptions &Opts,
                               const CheckpointState &CK) {
-  CheckerOptions Effective = Opts;
-  if (Effective.Kind == SearchKind::RandomWalk &&
-      Effective.MaxExecutions == 0 && Effective.TimeBudgetSeconds <= 0)
-    Effective.MaxExecutions = 10000;
-  if (Effective.StatefulPruning || Effective.ExportStateSignatures)
-    Effective.TrackCoverage = true;
-
-  auto Start = std::chrono::steady_clock::now();
-
-  if (CK.Frontier.empty()) {
-    // The checkpoint was taken exactly at exhaustion; nothing to run.
-    CheckResult R;
-    R.Stats = CK.Stats;
-    R.Stats.SearchExhausted = true;
-    R.Stats.DistinctStates = CK.States.size();
-    if (CK.Bug) {
-      R.Bug = *CK.Bug;
-      R.Kind = CK.Bug->Kind;
-    }
-    if (Effective.ExportStateSignatures)
-      R.StateSignatures = CK.States;
-    return R;
-  }
-
-  if (Effective.FleetWorkers >= 1 &&
-      Effective.Kind != SearchKind::RandomWalk &&
-      !Effective.StatefulPruning &&
-      Effective.Isolate != IsolationMode::Batch) {
-    CheckResult R = runFleet(Program, Effective, &CK);
-    finalizeRaces(R, Effective);
-    return R;
-  }
-
-  if (Effective.Jobs > 1 && Effective.Kind != SearchKind::RandomWalk &&
-      !Effective.StatefulPruning &&
-      Effective.Isolate != IsolationMode::Batch) {
-    ParallelExplorer PE(Program, Effective);
-    PE.resumeFrom(CK);
-    CheckResult R = PE.run();
-    finalizeRaces(R, Effective);
-    return R;
-  }
-
-  // Serial (optionally sandboxed) chain over the frontier units. Stats,
-  // coverage, the RNG and the first-bug slot thread through from unit to
-  // unit, so the aggregate equals one uninterrupted run.
-  CheckResult Agg;
-  Agg.Stats = CK.Stats;
-  Agg.Stats.TimedOut = false;
-  Agg.Stats.ExecutionCapHit = false;
-  Agg.Stats.SearchExhausted = false;
-  Agg.Stats.Interrupted = false;
-  uint64_t Rng = CK.Rng ? CK.Rng : Effective.Seed;
-  std::vector<uint64_t> States = CK.States;
-  std::optional<BugReport> Bug;
-  if (CK.Bug)
-    Bug = *CK.Bug;
-  // Each frontier unit runs its own engine with a fresh race-dedup set, so
-  // unit N+1 can re-report a race unit N already found; dedup across units
-  // here and keep the cumulative count consistent. Races found before the
-  // checkpoint are not keyed in the file, so a resumed run may recount
-  // them (documented in docs/RACES.md).
-  std::unordered_set<std::string> RaceKeys;
-  const uint64_t RaceBase = CK.Stats.RacesFound;
-
-  for (size_t U = 0; U < CK.Frontier.size(); ++U) {
-    CheckerOptions SubOpts = Effective;
-    if (Effective.TimeBudgetSeconds > 0) {
-      double Remaining =
-          Effective.TimeBudgetSeconds -
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        Start)
-              .count();
-      SubOpts.TimeBudgetSeconds = Remaining > 0.001 ? Remaining : 0.001;
-    }
-    if (Effective.CheckpointSink) {
-      // A periodic checkpoint inside one unit must also carry the units
-      // not yet started, or resuming from it would lose them.
-      SubOpts.CheckpointSink = [&Effective, &CK,
-                                U](const CheckpointState &S) {
-        CheckpointState Full = S;
-        for (size_t V = U + 1; V < CK.Frontier.size(); ++V)
-          Full.Frontier.push_back(CK.Frontier[V]);
-        Effective.CheckpointSink(Full);
-      };
-    }
-
-    CheckResult R;
-    if (Effective.Isolate == IsolationMode::Batch) {
-      SandboxResumeContext RC;
-      RC.BaseStats = &Agg.Stats;
-      RC.BaseStates = &States;
-      RC.BaseBug = Bug ? &*Bug : nullptr;
-      RC.Rng = Rng;
-      // Under TrackCoverage the sandbox always fills StateSignatures
-      // (sorted union including the base), so coverage chains across
-      // units exactly like the in-process path; RC.Rng comes back as the
-      // final PRNG state for the same reason.
-      R = runSandboxed(Program, SubOpts, &CK.Frontier[U].Prefix,
-                       CK.Frontier[U].FrozenLen, &RC);
-      if (SubOpts.TrackCoverage)
-        States = R.StateSignatures;
-      Rng = RC.Rng;
-    } else {
-      Explorer E(Program, SubOpts);
-      E.preloadScheduleFrozenPrefix(CK.Frontier[U].Prefix,
-                                    CK.Frontier[U].FrozenLen);
-      E.preloadBaseStats(Agg.Stats);
-      E.setRngState(Rng);
-      if (SubOpts.TrackCoverage)
-        E.preloadSeenStates(States);
-      if (Bug)
-        E.preloadBug(*Bug);
-      R = E.run();
-      Rng = E.rngState();
-      if (SubOpts.TrackCoverage)
-        States.assign(E.seenStates().begin(), E.seenStates().end());
-    }
-
-    Agg.Stats = R.Stats; // Cumulative: the explorer ran on top of Agg.
-    if (R.Profile) {
-      // Per-unit profiles accumulate (stats thread through preloadBaseStats
-      // and need no merge; profiles are per-engine and do).
-      if (!Agg.Profile)
-        Agg.Profile = R.Profile;
-      else
-        Agg.Profile->merge(*R.Profile);
-    }
-    if (R.Bug)
-      Bug = R.Bug;
-    for (const BugReport &I : R.Incidents)
-      if (I.Kind != Verdict::DataRace || RaceKeys.insert(I.Message).second)
-        Agg.Incidents.push_back(I);
-    if (Effective.Races != RaceCheckMode::Off)
-      Agg.Stats.RacesFound = RaceBase + RaceKeys.size();
-
-    if (R.Stats.Interrupted && R.Resume) {
-      for (size_t V = U + 1; V < CK.Frontier.size(); ++V)
-        R.Resume->Frontier.push_back(CK.Frontier[V]);
-      Agg.Resume = R.Resume;
-      break;
-    }
-    if (R.Stats.TimedOut || R.Stats.ExecutionCapHit)
-      break;
-    if (R.foundBug() && Effective.StopOnFirstBug)
-      break;
-  }
-
-  if (Bug) {
-    Agg.Bug = *Bug;
-    Agg.Kind = Bug->Kind;
-  }
-  Agg.Stats.DistinctStates = States.size();
-  if (Effective.ExportStateSignatures) {
-    std::sort(States.begin(), States.end());
-    Agg.StateSignatures = std::move(States);
-  }
-  Agg.Stats.Seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
-          .count();
-  // Top-level promotion, mirroring check(): resumed runs surface data
-  // races in the verdict the same way uninterrupted ones do.
-  finalizeRaces(Agg, Effective);
-  return Agg;
+  return runFrontier(Program, Opts, CK);
 }

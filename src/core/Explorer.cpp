@@ -124,7 +124,19 @@ bool Explorer::advanceStack() {
     }
     Stack.pop_back();
   }
-  return false;
+  return loadNextUnit();
+}
+
+bool Explorer::loadNextUnit() {
+  if (!Units || NextUnit == Units->size())
+    return false;
+  const CheckpointUnit &U = (*Units)[NextUnit++];
+  Stack.clear();
+  for (const ScheduleChoice &C : U.Prefix)
+    Stack.push_back({C.Chosen, C.Num, C.Backtrack, /*Donated=*/false,
+                     C.SleepMask, C.FlushMask});
+  FrozenLen = U.FrozenLen;
+  return true;
 }
 
 void Explorer::preloadSchedule(const std::vector<ScheduleChoice> &Choices,
@@ -144,27 +156,33 @@ void Explorer::preloadScheduleFrozenPrefix(
   FrozenLen = FrozenPrefixLen;
 }
 
-void Explorer::preloadBaseStats(const SearchStats &Base) {
-  assert(Result.Stats.Executions == 0 && "preloadBaseStats must precede run()");
-  Result.Stats = Base;
-  EstMassSum = Base.EstimateMass;
-  EstMassComp = 0;
+void Explorer::preloadFrontier(const CheckpointState &From) {
+  assert(Stack.empty() && Result.Stats.Executions == 0 &&
+         "preloadFrontier must precede run()");
+  Result.Stats = From.Stats;
   Result.Stats.TimedOut = false;
   Result.Stats.ExecutionCapHit = false;
   Result.Stats.SearchExhausted = false;
   Result.Stats.Interrupted = false;
   Result.Stats.Seconds = 0;
+  EstMassSum = From.Stats.EstimateMass;
+  EstMassComp = 0;
+  preloadSeenStates(From.States);
+  if (From.Bug) {
+    Result.Bug = *From.Bug;
+    Result.Kind = From.Bug->Kind;
+  }
+  if (From.Rng)
+    Rng.setState(From.Rng);
+  Units = &From.Frontier;
+  NextUnit = 0;
+  loadNextUnit();
 }
 
 void Explorer::preloadSeenStates(const std::vector<uint64_t> &States) {
   SeenStates.reserve(SeenStates.size() + States.size());
   for (uint64_t S : States)
     SeenStates.insert(S);
-}
-
-void Explorer::preloadBug(const BugReport &B) {
-  Result.Bug = B;
-  Result.Kind = B.Kind;
 }
 
 std::vector<ScheduleChoice> Explorer::currentStackSnapshot() const {
@@ -198,6 +216,9 @@ std::shared_ptr<CheckpointState> Explorer::makeCheckpointState() const {
   U.Prefix = currentStackSnapshot();
   U.FrozenLen = FrozenLen;
   CK->Frontier.push_back(std::move(U));
+  if (Units)
+    CK->Frontier.insert(CK->Frontier.end(), Units->begin() + long(NextUnit),
+                        Units->end());
   CK->States.assign(SeenStates.begin(), SeenStates.end());
   std::sort(CK->States.begin(), CK->States.end());
   CK->Bug = Result.Bug; // Only set under StopOnFirstBug=false.
@@ -287,8 +308,8 @@ void Explorer::reportBug(Verdict V, std::string Msg, const Runtime &RT,
   B.Message = std::move(Msg);
   B.TraceText = CurTrace.render(RT, 120);
   // Stats.Executions counts completed executions, so during the buggy one
-  // it equals the 0-based index (and stays correct across resumed or
-  // sandboxed run parts, where a base count is preloaded).
+  // it equals the 0-based index (and stays correct across resumed run
+  // parts, where a base count is preloaded).
   B.AtExecution = Result.Stats.Executions;
   B.AtStep = Step;
   // Serialize the consumed choice prefix so the schedule can be replayed.
@@ -966,7 +987,7 @@ CheckResult Explorer::run() {
         Result.Stats.TimedOut = true;
         break;
       }
-      if (Stack.size() <= FrozenLen || !advanceStack()) {
+      if (!(Stack.size() > FrozenLen ? advanceStack() : loadNextUnit())) {
         Result.Stats.SearchExhausted = true;
         break;
       }

@@ -29,6 +29,7 @@
 #define FSMC_CORE_EXPLORER_H
 
 #include "core/Checker.h"
+#include "core/Checkpoint.h"
 #include "core/SearchStrategy.h"
 #include "core/Trace.h"
 #include "runtime/Runtime.h"
@@ -76,27 +77,24 @@ public:
                        bool Frozen = false);
 
   /// preloadSchedule freezing only the first \p FrozenLen records: the
-  /// rest of the preloaded stack stays advanceable. This is how a resumed
-  /// or sandboxed search re-enters the middle of a frozen subtree.
+  /// rest of the preloaded stack stays advanceable. This is how a fleet
+  /// or isolated attempt re-enters the middle of a frozen subtree.
   void preloadScheduleFrozenPrefix(
       const std::vector<struct ScheduleChoice> &Choices, size_t FrozenLen);
 
-  /// Starts this run's statistics from \p Base instead of zero, so a
-  /// resumed search reports cumulative totals and budget checks
-  /// (MaxExecutions) span the original and resumed parts. Budget flags
-  /// (TimedOut &c.) are cleared. Must precede run().
-  void preloadBaseStats(const SearchStats &Base);
+  /// Seeds the whole search from \p From: its stats, coverage, first bug
+  /// and PRNG state carry over (so totals and budgets span the earlier
+  /// run part), and its units run one after another, each confined below
+  /// its frozen prefix -- the serial engine of runFrontier. Must precede
+  /// run(); \p From must outlive the explorer.
+  void preloadFrontier(const CheckpointState &From);
 
   /// Seeds the coverage table with signatures from an earlier run part,
   /// so DistinctStates and exported signatures stay cumulative.
   void preloadSeenStates(const std::vector<uint64_t> &States);
 
-  /// Seeds the first-counterexample slot from an earlier run part
-  /// (StopOnFirstBug=false resume), so a later bug cannot displace it.
-  void preloadBug(const BugReport &B);
-
   /// Also record newly inserted state signatures in insertion order
-  /// (stateLog); the sandbox child streams coverage deltas from it.
+  /// (stateLog); an isolated batch child streams coverage deltas from it.
   void enableStateLog() { LogStates = true; }
   const std::vector<uint64_t> &stateLog() const { return StateLog; }
 
@@ -116,11 +114,11 @@ public:
   /// replay prefix of the next execution this explorer would have run.
   /// std::nullopt when the (sub)tree is exhausted. Call only after run()
   /// returned without itself advancing (hook stop, budget stop, bug
-  /// stop); the sandbox parent uses it to chain batches.
+  /// stop); the isolated rung uses it to chain batches.
   std::optional<std::vector<struct ScheduleChoice>> nextFrontier();
 
   /// Streams every non-forced choice as it resolves (replayed or fresh):
-  /// the sandbox probe uses this to recover the exact stack of a crashing
+  /// the isolated probe uses this to recover the exact stack of a crashing
   /// execution from outside the process. \p SleepMask is the POR sleep
   /// set at the choice point (0 when CheckerOptions::Por is off) and
   /// \p FlushMask the flush-agent bits of the candidate set (0 under
@@ -172,8 +170,8 @@ public:
   /// run().
   void setStackPool(StackPool *P) { ExternalPool = P; }
 
-  /// Incidents collected so far (data races under RaceCheckMode::On); the
-  /// sandbox child streams deltas of this list to its parent. Valid from
+  /// Incidents collected so far (data races under RaceCheckMode::On); an
+  /// isolated batch child streams deltas of this list to its parent. Valid from
   /// the execution hook or after run().
   const std::vector<BugReport> &incidents() const { return Result.Incidents; }
 
@@ -227,8 +225,11 @@ private:
   /// Sends \p E to the observer's sink with this worker's identity filled
   /// in. Call only when Obs && Obs->sink().
   void emitEvent(obs::ObsEvent E);
-  /// Advances the deepest backtrackable choice; false when exhausted.
+  /// Advances the deepest backtrackable choice, moving on to the next
+  /// queued frontier unit when this one is exhausted; false when all are.
   bool advanceStack();
+  /// Loads the next queued frontier unit as the stack; false when none.
+  bool loadNextUnit();
   /// Resolves one choice among \p N options through the stack. Under POR
   /// \p SleepMask (the sleep set at the choice point) is recorded on
   /// fresh pushes and validated against the stack during replay;
@@ -261,6 +262,9 @@ private:
   size_t Cursor = 0;
   size_t ReplayLen = 0; ///< Stack records present when the execution began.
   size_t FrozenLen = 0; ///< Leading records the DFS never advances past.
+  /// The preloaded frontier's units; those from NextUnit on still run.
+  const std::vector<CheckpointUnit> *Units = nullptr;
+  size_t NextUnit = 0;
   bool ReplayMismatch = false;
   size_t MismatchIdx = 0; ///< Stack index where replay diverged.
   std::function<bool(Explorer &)> Hook;

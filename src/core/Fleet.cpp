@@ -7,17 +7,21 @@
 // FleetWorkers long-lived children, each running fleetWorkerMain in a
 // blocking read loop on its "down" pipe. One unit is outstanding per
 // worker at a time, so the down pipe never fills and coordinator writes
-// never block. All records use the core/Wire.h framing; fork without exec
-// means trivially-copyable payloads cross as raw bytes.
+// never block. The isolated rung instead forks one short-lived child per
+// batch (isolatedChildMain) and supervises it with a watchdog. All
+// records use the core/Wire.h framing; fork without exec means
+// trivially-copyable payloads cross as raw bytes.
 //
-// The exactness invariant everything rests on: a worker commits an
-// attempt with ONE atomic UnitDone record carrying the attempt's stats,
-// bug, incidents, coverage delta and remainder prefixes. A worker that
-// dies mid-attempt therefore commits nothing, and re-running the same
-// unit on another worker reproduces the identical deterministic attempt.
-// Committed stats plus pending units always describe exactly the
-// remaining search, which is why verdicts and incident sets match
-// --jobs=N even under FSMC_FLEET_CHAOS fault injection.
+// The exactness invariant everything rests on: an attempt commits with
+// ONE atomic UnitDone record carrying its stats, bug, incidents, coverage
+// and remainder units. A worker that dies mid-attempt therefore commits
+// nothing, and re-running the same unit on another worker reproduces the
+// identical deterministic attempt. (An isolated child also streams an
+// ExecDone record per execution, so a death inside execution N+1 commits
+// exactly executions 1..N.) Committed stats plus pending units always
+// describe exactly the remaining search, which is why verdicts and
+// incident sets match --jobs=N even under FSMC_FLEET_CHAOS fault
+// injection.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +29,7 @@
 
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
-#include "core/Schedule.h"
+#include "core/ResultAccumulator.h"
 #include "core/Wire.h"
 #include "core/WorkLease.h"
 #include "obs/Observer.h"
@@ -33,6 +37,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -66,14 +71,13 @@ enum DownTag : uint8_t {
   TagShutdown = 4, // exit once idle
 };
 
-// Worker -> coordinator.
+// Worker / isolated child -> coordinator.
 enum UpTag : uint8_t {
   TagUnitDone = 16, // the one atomic commit record per attempt
   TagHeartbeat = 17,
-};
-
-enum UnitDoneFlag : uint8_t {
-  FlagTimedOut = 1, // the attempt's own time budget expired
+  TagExecDone = 18, // isolated child: progress after each execution
+  TagIncident = 19, // isolated child: a race, ahead of its ExecDone
+  TagChoice = 20,   // isolated probe: one resolved choice
 };
 
 void putBug(WireWriter &W, const BugReport &B) {
@@ -96,35 +100,58 @@ BugReport getBug(WireReader &R) {
   return B;
 }
 
-//===----------------------------------------------------------------------===//
-// DFS order (mirrors core/ParallelExplorer.cpp so first-bug reports agree)
-//===----------------------------------------------------------------------===//
+/// One attempt at a unit: what a UnitDone record carries.
+struct Attempt {
+  uint64_t LeaseId = 0;
+  bool TimedOut = false; ///< The attempt's own time budget expired.
+  uint64_t Rng = 0;      ///< Final PRNG state (the isolated rung chains it).
+  SearchStats Stats;     ///< Unit-local: the attempt started from zero.
+  std::optional<BugReport> Bug;
+  std::vector<BugReport> Incidents;
+  std::vector<uint64_t> States;
+  std::vector<CheckpointUnit> Rem; ///< Unexplored remainder of the unit.
+};
 
-/// DFS order over choice paths: the first differing choice index decides;
-/// an ancestor precedes its extensions.
-bool dfsBefore(const std::vector<int> &A, const std::vector<int> &B) {
-  size_t N = A.size() < B.size() ? A.size() : B.size();
-  for (size_t I = 0; I < N; ++I)
-    if (A[I] != B[I])
-      return A[I] < B[I];
-  return A.size() < B.size();
+void putAttempt(WireWriter &W, const Attempt &A) {
+  W.u64(A.LeaseId);
+  W.u8(A.TimedOut ? 1 : 0);
+  W.u64(A.Rng);
+  W.stats(A.Stats);
+  W.u8(A.Bug ? 1 : 0);
+  if (A.Bug)
+    putBug(W, *A.Bug);
+  W.u32(uint32_t(A.Incidents.size()));
+  for (const BugReport &I : A.Incidents)
+    putBug(W, I);
+  W.states(A.States.data(), A.States.size());
+  W.u32(uint32_t(A.Rem.size()));
+  for (const CheckpointUnit &U : A.Rem) {
+    W.u32(uint32_t(U.FrozenLen));
+    W.choices(U.Prefix);
+  }
 }
 
-std::vector<int> pathKeyOfSchedule(const std::string &Schedule) {
-  std::vector<ScheduleChoice> Choices;
-  std::vector<int> Key;
-  if (decodeSchedule(Schedule, Choices))
-    for (const ScheduleChoice &C : Choices)
-      Key.push_back(C.Chosen);
-  return Key;
-}
-
-std::vector<int> pathKeyOfPrefix(const std::vector<ScheduleChoice> &P) {
-  std::vector<int> Key;
-  Key.reserve(P.size());
-  for (const ScheduleChoice &C : P)
-    Key.push_back(C.Chosen);
-  return Key;
+bool getAttempt(WireReader R, Attempt &A) {
+  A.LeaseId = R.u64();
+  A.TimedOut = R.u8() != 0;
+  A.Rng = R.u64();
+  A.Stats = R.stats();
+  if (R.u8())
+    A.Bug = getBug(R);
+  uint32_t NInc = R.u32();
+  for (uint32_t I = 0; I < NInc && R.Ok; ++I)
+    A.Incidents.push_back(getBug(R));
+  A.States = R.states();
+  uint32_t NRem = R.u32();
+  for (uint32_t I = 0; I < NRem && R.Ok; ++I) {
+    CheckpointUnit U;
+    U.FrozenLen = R.u32();
+    U.Prefix = R.choices();
+    if (U.FrozenLen > U.Prefix.size())
+      R.Ok = false;
+    A.Rem.push_back(std::move(U));
+  }
+  return R.Ok;
 }
 
 //===----------------------------------------------------------------------===//
@@ -142,23 +169,10 @@ struct ChaosSpec {
 
 ChaosSpec parseChaos(const char *Env) {
   ChaosSpec C;
-  if (!Env)
-    return C;
-  const char *P = Env;
-  while (*P) {
-    if (std::strncmp(P, "kill:", 5) == 0)
-      C.Kills = std::atoi(P + 5);
-    else if (std::strncmp(P, "hang:", 5) == 0)
-      C.Hangs = std::atoi(P + 5);
-    const char *Comma = std::strchr(P, ',');
-    if (!Comma)
-      break;
-    P = Comma + 1;
-  }
-  if (C.Kills < 0)
-    C.Kills = 0;
-  if (C.Hangs < 0)
-    C.Hangs = 0;
+  const char *K = Env ? std::strstr(Env, "kill:") : nullptr;
+  const char *H = Env ? std::strstr(Env, "hang:") : nullptr;
+  C.Kills = K ? std::max(0, std::atoi(K + 5)) : 0;
+  C.Hangs = H ? std::max(0, std::atoi(H + 5)) : 0;
   return C;
 }
 
@@ -169,7 +183,6 @@ ChaosSpec parseChaos(const char *Env) {
 struct WorkerConfig {
   const TestProgram *Program = nullptr;
   CheckerOptions Opts; // stripped attempt options (no Obs, no budgets)
-  bool WantStates = false;
   double HeartbeatPeriod = 0.1;
   uint64_t KillAfter = 0; // chaos: SIGKILL self after N lifetime execs
   uint64_t HangAfter = 0; // chaos: hang (no heartbeats) after N execs
@@ -326,8 +339,7 @@ struct WorkerCtl {
       if (Ctl.HaveBest && Cfg.Opts.StopOnFirstBug) {
         // Everything still unexplored in this unit is DFS-after the path
         // just consumed; if that path is already at-or-after the best
-        // bug, nothing here can improve it. Drop the rest (mirrors the
-        // parallel driver's afterBestBug pruning).
+        // bug, nothing here can improve it. Drop the rest.
         if (!dfsBefore(Ex.consumedPathKey(), Ctl.BestKey))
           return false;
       }
@@ -340,34 +352,269 @@ struct WorkerCtl {
 
     CheckResult R = E.run();
 
-    WireWriter W;
-    W.u64(U.LeaseId);
-    uint8_t Flags = 0;
-    if (R.Stats.TimedOut)
-      Flags |= FlagTimedOut;
-    W.u8(Flags);
-    W.stats(R.Stats);
-    W.u8(R.Bug ? 1 : 0);
-    if (R.Bug)
-      putBug(W, *R.Bug);
-    W.u32(uint32_t(R.Incidents.size()));
-    for (const BugReport &I : R.Incidents)
-      putBug(W, I);
-    if (Cfg.WantStates) {
-      std::vector<uint64_t> SS(E.seenStates().begin(), E.seenStates().end());
-      std::sort(SS.begin(), SS.end());
-      W.states(SS.data(), SS.size());
-    } else {
-      W.states(nullptr, 0);
+    Attempt A;
+    A.LeaseId = U.LeaseId;
+    A.TimedOut = R.Stats.TimedOut;
+    A.Stats = R.Stats;
+    A.Bug = R.Bug;
+    A.Incidents = std::move(R.Incidents);
+    if (Cfg.Opts.TrackCoverage) {
+      A.States.assign(E.seenStates().begin(), E.seenStates().end());
+      std::sort(A.States.begin(), A.States.end());
     }
-    W.u32(uint32_t(Remainder.size()));
-    for (const std::vector<ScheduleChoice> &P : Remainder)
-      W.choices(P);
+    for (std::vector<ScheduleChoice> &P : Remainder) {
+      size_t N = P.size();
+      A.Rem.push_back({std::move(P), N});
+    }
+    WireWriter W;
+    putAttempt(W, A);
     if (!writeRecord(UpFd, TagUnitDone, W))
       _exit(0);
     if (Ctl.Shutdown)
       _exit(0);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// The isolated rung: one forked child per batch
+//===----------------------------------------------------------------------===//
+
+/// What an isolated batch or probe child starts from; assembled before
+/// fork so the child only reads memory it inherited.
+struct IsolatedInput {
+  const TestProgram *Program = nullptr;
+  CheckerOptions Opts; ///< Stripped attempt options plus the batch budget.
+  CheckpointUnit Unit;
+  const std::unordered_set<uint64_t> *States = nullptr; ///< Coverage so far.
+  uint64_t Rng = 0;
+  /// Probe mode: stream every choice as it resolves, so the stack of an
+  /// execution that never finishes is known outside the process.
+  bool Probe = false;
+};
+
+/// Runs one batch of the unit inside the forked child: an ExecDone record
+/// per finished execution (races ahead of it, so they commit and are
+/// discarded with it), then the UnitDone record. Never returns.
+[[noreturn]] void isolatedChildMain(const IsolatedInput &In, int Fd) {
+  Explorer E(*In.Program, In.Opts);
+  E.preloadScheduleFrozenPrefix(In.Unit.Prefix, In.Unit.FrozenLen);
+  E.preloadSeenStates(
+      std::vector<uint64_t>(In.States->begin(), In.States->end()));
+  E.setRngState(In.Rng);
+  E.enableStateLog();
+  if (In.Probe)
+    E.setChoiceStream([&](int Chosen, int Num, bool Backtrack,
+                          uint64_t SleepMask, uint64_t FlushMask) {
+      WireWriter W;
+      W.choices({{Chosen, Num, Backtrack, SleepMask, FlushMask}});
+      writeRecord(Fd, TagChoice, W);
+    });
+  size_t StatesSent = 0, IncidentsSent = 0;
+  bool PipeOk = true;
+  E.setExecutionHook([&](Explorer &Ex) {
+    const std::vector<BugReport> &Inc = Ex.incidents();
+    for (; IncidentsSent < Inc.size(); ++IncidentsSent) {
+      WireWriter W;
+      putBug(W, Inc[IncidentsSent]);
+      writeRecord(Fd, TagIncident, W);
+    }
+    WireWriter W;
+    W.stats(Ex.currentStats());
+    W.u64(Ex.rngState());
+    W.choices(Ex.currentStackSnapshot());
+    const std::vector<uint64_t> &Log = Ex.stateLog();
+    W.states(Log.data() + StatesSent, Log.size() - StatesSent);
+    StatesSent = Log.size();
+    PipeOk = writeRecord(Fd, TagExecDone, W);
+    return PipeOk; // Parent gone -> stop quietly.
+  });
+
+  CheckResult R = E.run();
+  if (!PipeOk)
+    _exit(0);
+  Attempt A;
+  A.TimedOut = R.Stats.TimedOut;
+  A.Rng = E.rngState();
+  A.Stats = R.Stats;
+  A.Bug = R.Bug;
+  A.Incidents = std::move(R.Incidents);
+  A.States = E.stateLog();
+  // A batch boundary (or the global cap; the coordinator re-derives which)
+  // leaves the rest of the unit: the next path, same frozen prefix.
+  if (R.Stats.ExecutionCapHit)
+    if (auto Next = E.nextFrontier())
+      A.Rem.push_back({std::move(*Next), In.Unit.FrozenLen});
+  WireWriter W;
+  putAttempt(W, A);
+  writeRecord(Fd, TagUnitDone, W);
+  _exit(0);
+}
+
+/// Everything one isolated child reported, in arrival order.
+struct ChildReport {
+  bool HaveExec = false; ///< The fields below are as of the last ExecDone.
+  SearchStats ExecStats;
+  uint64_t ExecRng = 0;
+  std::vector<ScheduleChoice> LastStack;
+  std::vector<uint64_t> StatesDelta; ///< Accumulated across ExecDones.
+  // Races in arrival order; the first RacesAtLastExec are committable
+  // when the child dies mid-execution.
+  std::vector<BugReport> Races;
+  size_t RacesAtLastExec = 0;
+  std::optional<Attempt> Done; ///< The UnitDone of a clean finish.
+  std::vector<ScheduleChoice> Streamed; ///< Probe choices.
+  bool Malformed = false;
+
+  void onRecord(uint8_t Tag, WireReader R) {
+    switch (Tag) {
+    case TagExecDone: {
+      ExecStats = R.stats();
+      ExecRng = R.u64();
+      LastStack = R.choices();
+      std::vector<uint64_t> Delta = R.states();
+      if (!R.Ok)
+        break;
+      StatesDelta.insert(StatesDelta.end(), Delta.begin(), Delta.end());
+      HaveExec = true;
+      RacesAtLastExec = Races.size();
+      return;
+    }
+    case TagIncident: {
+      BugReport B = getBug(R);
+      if (!R.Ok)
+        break;
+      Races.push_back(std::move(B));
+      return;
+    }
+    case TagUnitDone: {
+      Attempt A;
+      if (!getAttempt(R, A))
+        break;
+      Done = std::move(A);
+      return;
+    }
+    case TagChoice: {
+      std::vector<ScheduleChoice> C = R.choices();
+      if (!R.Ok)
+        break;
+      Streamed.insert(Streamed.end(), C.begin(), C.end());
+      return;
+    }
+    default:
+      break;
+    }
+    Malformed = true;
+  }
+};
+
+/// How an isolated child ended, from the coordinator's point of view.
+struct ChildExit {
+  bool HangKilled = false;      ///< Watchdog fired.
+  bool InterruptKilled = false; ///< Coordinator-side InterruptFlag.
+  int Status = 0;               ///< As reported by waitpid.
+};
+
+/// Forks an isolated child for \p In and supervises it: reads records
+/// until EOF, SIGKILLs it when the watchdog or the interrupt flag fires,
+/// and reaps it. False when fork/pipe itself failed (no child ran).
+bool runIsolatedChild(const IsolatedInput &In, const CheckerOptions &Opts,
+                      ChildReport &Rep, ChildExit &Ex) {
+  int P[2];
+  if (::pipe(P) != 0)
+    return false;
+  pid_t Pid = ::fork();
+  if (Pid < 0) {
+    ::close(P[0]);
+    ::close(P[1]);
+    return false;
+  }
+  if (Pid == 0) {
+    // The coordinator owns SIGINT handling, and a vanished coordinator
+    // must surface as EPIPE, not a signal. _exit (never exit) on every
+    // path so fork-duplicated stdio buffers are not flushed twice.
+    ::signal(SIGINT, SIG_IGN);
+    ::signal(SIGTERM, SIG_IGN);
+    ::signal(SIGPIPE, SIG_IGN);
+    ::close(P[0]);
+    isolatedChildMain(In, P[1]);
+  }
+  ::close(P[1]);
+  FrameParser Frames;
+  auto LastActivity = std::chrono::steady_clock::now();
+  bool Killed = false;
+  for (;;) {
+    if (!Killed && Opts.InterruptFlag &&
+        Opts.InterruptFlag->load(std::memory_order_relaxed)) {
+      ::kill(Pid, SIGKILL);
+      Killed = Ex.InterruptKilled = true;
+    }
+    struct pollfd Pfd = {P[0], POLLIN, 0};
+    int N = ::poll(&Pfd, 1, 100);
+    if (N < 0 && errno != EINTR)
+      break;
+    if (N > 0) {
+      char Chunk[16384];
+      ssize_t R = ::read(P[0], Chunk, sizeof(Chunk));
+      if (R < 0 && errno == EINTR)
+        continue;
+      if (R <= 0)
+        break; // EOF: the child closed its end (exit or death).
+      Frames.feed(Chunk, size_t(R),
+                  [&](uint8_t Tag, WireReader Rd) { Rep.onRecord(Tag, Rd); });
+      LastActivity = std::chrono::steady_clock::now();
+      continue;
+    }
+    // Silence. A child that stopped making progress is hung.
+    if (!Killed && Opts.HangTimeoutSeconds > 0 &&
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      LastActivity)
+                .count() > Opts.HangTimeoutSeconds) {
+      ::kill(Pid, SIGKILL);
+      Killed = Ex.HangKilled = true;
+    }
+  }
+  ::close(P[0]);
+  while (::waitpid(Pid, &Ex.Status, 0) < 0 && errno == EINTR)
+    ;
+  return true;
+}
+
+/// Explorer's DFS advance on a serialized stack: bump the deepest
+/// backtrackable record with an untried alternative, popping exhausted
+/// ones, never descending into the frozen region. Random walks never
+/// backtrack; their next path is the bare frozen prefix.
+bool advancePrefix(std::vector<ScheduleChoice> &P, size_t FrozenLen,
+                   bool RandomWalk) {
+  if (RandomWalk) {
+    P.resize(FrozenLen);
+    return true;
+  }
+  while (P.size() > FrozenLen) {
+    ScheduleChoice &R = P.back();
+    if (R.Backtrack && R.Chosen + 1 < R.Num) {
+      ++R.Chosen;
+      return true;
+    }
+    P.pop_back();
+  }
+  return false;
+}
+
+std::string describeExit(const ChildExit &Ex, double HangTimeout) {
+  if (Ex.HangKilled)
+    return "no progress for " + std::to_string(HangTimeout) +
+           "s; child killed by the sandbox watchdog";
+  if (WIFSIGNALED(Ex.Status)) {
+    int Sig = WTERMSIG(Ex.Status);
+    std::string S = "child killed by signal " + std::to_string(Sig);
+    if (const char *Name = strsignal(Sig))
+      S += std::string(" (") + Name + ")";
+    return S;
+  }
+  if (WIFEXITED(Ex.Status) && WEXITSTATUS(Ex.Status) != 0)
+    return "child exited with status " +
+           std::to_string(WEXITSTATUS(Ex.Status));
+  return "child exited without completing its batch";
 }
 
 //===----------------------------------------------------------------------===//
@@ -424,23 +671,29 @@ bool spawnWorker(FleetWorker &W, const WorkerConfig &BaseCfg,
   }
   ::close(Down[0]);
   ::close(Up[1]);
+  W = FleetWorker();
   W.Pid = Pid;
   W.DownFd = Down[1];
   W.UpFd = Up[0];
-  W.Frames = FrameParser();
-  W.LeaseId = 0;
   W.Alive = true;
-  W.UpEof = false;
-  W.KillSent = false;
-  W.DrainKilled = false;
   return true;
+}
+
+/// Marks \p W dead and closes whatever pipe ends are still open.
+void closeWorker(FleetWorker &W) {
+  W.Alive = false;
+  for (int *Fd : {&W.DownFd, &W.UpFd})
+    if (*Fd >= 0) {
+      ::close(*Fd);
+      *Fd = -1;
+    }
 }
 
 } // namespace
 
 CheckResult fsmc::runFleet(const TestProgram &Program,
                            const CheckerOptions &Opts,
-                           const CheckpointState *ResumeCK) {
+                           const CheckpointState &Frontier) {
   auto StartTime = std::chrono::steady_clock::now();
   auto elapsed = [&]() {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -451,23 +704,23 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   // a fatal signal to the coordinator.
   wire::ScopedSigpipeIgnore NoSigpipe;
 
-  const bool WantStates = Opts.TrackCoverage || Opts.ExportStateSignatures;
-  const int Width = Opts.FleetWorkers > 0 ? Opts.FleetWorkers : 1;
-  const uint64_t Batch =
-      Opts.FleetBatchSize > 0 ? uint64_t(Opts.FleetBatchSize) : 64;
+  const bool RandomWalk = Opts.Kind == SearchKind::RandomWalk;
+  // Under --isolate=batch the fleet has no workers: the isolated rung runs
+  // the whole search.
+  const int Width = Opts.Isolate == IsolationMode::Batch
+                        ? 0
+                        : std::max(Opts.FleetWorkers, 1);
+  const uint64_t Batch = Opts.BatchSize > 0 ? uint64_t(Opts.BatchSize) : 64;
   const double HbTimeout =
-      Opts.FleetHeartbeatTimeout > 0
-          ? Opts.FleetHeartbeatTimeout
-          : (Opts.HangTimeoutSeconds > 0 ? Opts.HangTimeoutSeconds : 10.0);
+      Opts.HangTimeoutSeconds > 0 ? Opts.HangTimeoutSeconds : 10.0;
   int RespawnsLeft =
       Opts.FleetRespawnBudget >= 0 ? Opts.FleetRespawnBudget : 2 * Width + 2;
 
   obs::WorkerCounters *Ctr = Opts.Obs ? &Opts.Obs->shard(0) : nullptr;
 
   // Attempt options: in-process serial exploration with every
-  // parent-owned mechanism stripped (mirrors the sandbox's ChildOpts).
-  // Budgets are enforced per-unit through the execution hook, and the
-  // observer must stay null in children -- fork duplicates sink FILE
+  // parent-owned mechanism stripped. Budgets are enforced per unit, and
+  // the observer must stay null in children -- fork duplicates sink FILE
   // buffers. Profiles cannot cross the pipe (shared_ptr payload).
   CheckerOptions ChildOpts = Opts;
   ChildOpts.Isolate = IsolationMode::Off;
@@ -478,14 +731,12 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   ChildOpts.CheckpointEvery = 0;
   ChildOpts.CheckpointSink = nullptr;
   ChildOpts.ExportStateSignatures = false;
-  ChildOpts.TrackCoverage = WantStates;
   ChildOpts.MaxExecutions = 0;
   ChildOpts.ProfileSearch = false;
 
   WorkerConfig BaseCfg;
   BaseCfg.Program = &Program;
   BaseCfg.Opts = ChildOpts;
-  BaseCfg.WantStates = WantStates;
   BaseCfg.HeartbeatPeriod = std::min(0.1, HbTimeout / 4);
 
   ChaosSpec Chaos = parseChaos(std::getenv("FSMC_FLEET_CHAOS"));
@@ -493,48 +744,16 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   LeaseTable::Config LC;
   LC.QuarantineAfter = Opts.FleetQuarantine > 0 ? Opts.FleetQuarantine : 3;
   LeaseTable LT(LC);
+  for (const CheckpointUnit &U : Frontier.Frontier)
+    LT.add(U.Prefix, U.FrozenLen);
 
-  // Committed search state; exactly the parallel driver's Shared merge.
-  SearchStats Total;
-  std::unordered_set<uint64_t> States;
-  std::unordered_set<std::string> RaceKeys;
-  std::vector<BugReport> RaceIncidents;
-  std::vector<BugReport> CrashIncidents; // quarantine incidents, in order
-  bool HasBug = false;
-  std::vector<int> BestKey;
-  BugReport BestBug;
-  Verdict BestKind = Verdict::Pass;
-  uint64_t RaceBase = 0;
-
+  ResultAccumulator Acc(Opts, Frontier, Ctr);
+  // The isolated rung's PRNG state, chained from batch to batch like one
+  // serial explorer's.
+  uint64_t Rng = Frontier.Rng ? Frontier.Rng : Opts.Seed;
   bool Interrupted = false, CapHit = false, TimedOut = false;
+  bool ForkFailed = false;
   std::shared_ptr<CheckpointState> ResumeOut;
-
-  auto offerBug = [&](const BugReport &B, Verdict K) {
-    std::vector<int> Key = pathKeyOfSchedule(B.Schedule);
-    if (!HasBug || dfsBefore(Key, BestKey)) {
-      HasBug = true;
-      BestKey = std::move(Key);
-      BestBug = B;
-      BestKind = K;
-      return true;
-    }
-    return false;
-  };
-
-  if (ResumeCK) {
-    Total = ResumeCK->Stats;
-    Total.TimedOut = Total.ExecutionCapHit = Total.SearchExhausted =
-        Total.Interrupted = false;
-    Total.Seconds = 0;
-    States.insert(ResumeCK->States.begin(), ResumeCK->States.end());
-    RaceBase = ResumeCK->Stats.RacesFound;
-    if (ResumeCK->Bug)
-      offerBug(*ResumeCK->Bug, ResumeCK->Bug->Kind);
-    for (const CheckpointUnit &U : ResumeCK->Frontier)
-      LT.add(U.Prefix, U.FrozenLen);
-  } else {
-    LT.add({}, 0); // the whole choice tree
-  }
 
   auto bump = [&](obs::Counter C, uint64_t &Field) {
     ++Field;
@@ -567,8 +786,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   };
   auto bestBugRecord = [&]() {
     WireWriter Wr;
-    Wr.u32(uint32_t(BestKey.size()));
-    for (int K : BestKey)
+    Wr.u32(uint32_t(Acc.Best.Key.size()));
+    for (int K : Acc.Best.Key)
       Wr.u32(uint32_t(K));
     return Wr;
   };
@@ -579,73 +798,128 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         (void)sendTo(W, TagBestBug, Wr); // EPIPE = dead; reaped below
   };
 
+  // Execution budget of the next attempt: a batch, or at most the cap
+  // remainder (bounded overshoot: in-flight units count whole).
+  auto attemptBudget = [&]() {
+    uint64_t Budget = Batch;
+    if (Opts.MaxExecutions) {
+      uint64_t Left = Opts.MaxExecutions > Acc.Stats.Executions
+                          ? Opts.MaxExecutions - Acc.Stats.Executions
+                          : 1;
+      Budget = std::min(Budget, Left);
+    }
+    return Budget;
+  };
+  auto attemptTime = [&]() {
+    if (Opts.TimeBudgetSeconds <= 0)
+      return 0.0;
+    return std::max(Opts.TimeBudgetSeconds - elapsed(), 0.001);
+  };
+  auto isolatedInput = [&](const CheckpointUnit &U, uint64_t Budget,
+                           const std::unordered_set<uint64_t> &States,
+                           uint64_t Seed) {
+    IsolatedInput In;
+    In.Program = &Program;
+    In.Opts = ChildOpts;
+    In.Opts.MaxExecutions = Budget;
+    In.Opts.TimeBudgetSeconds = attemptTime();
+    In.Unit = U;
+    In.States = &States;
+    In.Rng = Seed;
+    return In;
+  };
+
+  // The replay prefix of the execution an isolated child died in, or
+  // nullopt when it died after the unit's last execution.
+  auto crashPrefix = [&](const CheckpointUnit &U, const ChildReport &Rep)
+      -> std::optional<std::vector<ScheduleChoice>> {
+    if (!Rep.HaveExec)
+      return U.Prefix;
+    std::vector<ScheduleChoice> P = Rep.LastStack;
+    if (!advancePrefix(P, U.FrozenLen, RandomWalk))
+      return std::nullopt;
+    return P;
+  };
+  // The probe: re-runs that one execution alone with choice streaming;
+  // the choices streamed at death are its exact stack (deterministic
+  // programs cannot crash in the replay region they already survived).
+  // Falls back to the replay prefix when nothing streamed; nullopt when
+  // an interrupt cut the probe short.
+  auto probe = [&](const std::vector<ScheduleChoice> &Prefix,
+                   const std::unordered_set<uint64_t> &States, uint64_t Seed)
+      -> std::optional<std::vector<ScheduleChoice>> {
+    IsolatedInput In = isolatedInput({Prefix, Prefix.size()}, 1, States, Seed);
+    In.Probe = true;
+    ChildReport Rep;
+    ChildExit Ex;
+    bool Ran = runIsolatedChild(In, Opts, Rep, Ex);
+    if (Ex.InterruptKilled)
+      return std::nullopt;
+    if (Ran && !Rep.Streamed.empty())
+      return std::move(Rep.Streamed);
+    return Prefix;
+  };
+
+  // A quarantined unit's incident carries the exact crashing schedule when
+  // the crash reproduces in isolation: the unit's attempt re-runs in an
+  // isolated child and its death is probed. Otherwise (a fault that needs
+  // the worker's state, or chaos injection) it falls back to the unit
+  // prefix. The re-run only attributes; nothing from it is committed.
   auto quarantineIncident = [&](uint64_t Id, const std::string &Why) {
-    bump(obs::Counter::FleetQuarantined, Total.FleetQuarantined);
-    ++Total.Crashes;
-    if (Ctr)
-      Ctr->add(obs::Counter::Crashes);
-    const WorkUnit &U = LT.unit(Id);
-    BugReport I;
-    I.Kind = Verdict::Crash;
-    I.Message = Why;
-    I.Schedule = encodeSchedule(U.Prefix);
-    I.AtExecution = Total.Executions;
-    CrashIncidents.push_back(std::move(I));
+    bump(obs::Counter::FleetQuarantined, Acc.Stats.FleetQuarantined);
+    const WorkUnit &W = LT.unit(Id);
+    CheckpointUnit U{W.Prefix, W.FrozenLen};
+    std::optional<std::vector<ScheduleChoice>> Stack;
+    static const std::unordered_set<uint64_t> NoStates;
+    ChildReport Rep;
+    ChildExit Ex;
+    if (runIsolatedChild(
+            isolatedInput(U, attemptBudget(), NoStates, Opts.Seed), Opts, Rep,
+            Ex) &&
+        !Ex.InterruptKilled && !(Rep.Done && !Rep.Malformed))
+      if (auto Prefix = crashPrefix(U, Rep))
+        Stack = probe(*Prefix, NoStates,
+                      Rep.HaveExec ? Rep.ExecRng : Opts.Seed);
+    if (Stack)
+      Acc.addCrash({Verdict::Crash, Why, "", encodeSchedule(*Stack)});
+    else
+      Acc.addCrash({Verdict::Crash,
+                    Why + "; not reproduced in isolation, so the schedule "
+                          "is the unit prefix",
+                    "", encodeSchedule(U.Prefix)},
+                   /*Replayable=*/false);
+    // Attribution kept the coordinator from reading heartbeats; that
+    // silence is not the busy workers' fault.
+    for (FleetWorker &Busy : Workers)
+      if (Busy.Alive && Busy.LeaseId)
+        LT.renew(Busy.LeaseId, elapsed() + HbTimeout);
   };
 
   // Merges one committed attempt -- the only way search results enter the
-  // totals, shared by the piped path and the in-process fallback.
-  auto commitAttempt = [&](uint64_t LeaseId, const SearchStats &S,
-                           bool AttemptTimedOut,
-                           const std::optional<BugReport> &Bug,
-                           const std::vector<BugReport> &Incs,
-                           const std::vector<uint64_t> &UnitStates,
-                           std::vector<std::vector<ScheduleChoice>> &&Rem,
-                           bool Broadcast) {
-    // Attempt stats are unit-local (each attempt starts from zero), so
-    // the delta folded into the live counters is the stats themselves.
-    foldStatsDeltaIntoCounters(Ctr, SearchStats{}, S);
-    mergeSearchStats(Total, S);
-    States.insert(UnitStates.begin(), UnitStates.end());
-    for (const BugReport &I : Incs)
-      if (I.Kind != Verdict::DataRace || RaceKeys.insert(I.Message).second) {
-        if (I.Kind == Verdict::DataRace && Ctr)
-          Ctr->add(obs::Counter::RacesFound);
-        RaceIncidents.push_back(I);
-      }
-    if (Opts.Races != RaceCheckMode::Off)
-      Total.RacesFound = RaceBase + RaceKeys.size();
-    if (Bug) {
-      bumpBugClassCounter(Ctr, Bug->Kind);
-      if (offerBug(*Bug, Bug->Kind) && Broadcast && Opts.StopOnFirstBug)
+  // totals, shared by the workers and the isolated rung.
+  auto commitAttempt = [&](uint64_t LeaseId, Attempt &&A, bool Front) {
+    // Attempt-local execution indices become search-wide ones.
+    uint64_t Base = Acc.Stats.Executions;
+    if (A.Bug)
+      A.Bug->AtExecution += Base;
+    for (BugReport &I : A.Incidents)
+      I.AtExecution += Base;
+    Acc.commit(A.Stats, A.States, A.Incidents);
+    if (A.Bug) {
+      bumpBugClassCounter(Ctr, A.Bug->Kind);
+      if (Acc.Best.offer(*A.Bug) && Opts.StopOnFirstBug)
         broadcastBestBug();
     }
-    for (std::vector<ScheduleChoice> &P : Rem) {
-      size_t N = P.size();
-      LT.add(std::move(P), N);
-    }
+    for (CheckpointUnit &U : A.Rem)
+      LT.add(std::move(U.Prefix), U.FrozenLen, Front);
     LT.commit(LeaseId);
-    if (AttemptTimedOut)
+    if (A.TimedOut)
       TimedOut = true;
   };
 
   auto commitUnitDone = [&](FleetWorker &W, WireReader R) {
-    uint64_t LeaseId = R.u64();
-    uint8_t Flags = R.u8();
-    SearchStats S = R.stats();
-    std::optional<BugReport> Bug;
-    if (R.u8())
-      Bug = getBug(R);
-    uint32_t NInc = R.u32();
-    std::vector<BugReport> Incs;
-    for (uint32_t I = 0; I < NInc && R.Ok; ++I)
-      Incs.push_back(getBug(R));
-    std::vector<uint64_t> UnitStates = R.states();
-    uint32_t NRem = R.u32();
-    std::vector<std::vector<ScheduleChoice>> Rem;
-    for (uint32_t I = 0; I < NRem && R.Ok; ++I)
-      Rem.push_back(R.choices());
-    if (!R.Ok || LeaseId == 0 || LeaseId != W.LeaseId) {
+    Attempt A;
+    if (!getAttempt(R, A) || A.LeaseId == 0 || A.LeaseId != W.LeaseId) {
       // Garbled commit: the worker is compromised; kill it and let the
       // reap path fail its lease so nothing half-merged survives.
       if (W.Alive && !W.KillSent) {
@@ -655,20 +929,103 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       return;
     }
     W.LeaseId = 0;
-    commitAttempt(LeaseId, S, (Flags & FlagTimedOut) != 0, Bug, Incs,
-                  UnitStates, std::move(Rem), /*Broadcast=*/true);
+    commitAttempt(A.LeaseId, std::move(A), /*Front=*/false);
+  };
+
+  // One step of the isolated rung: one batch of the oldest unit in a
+  // forked child. Units that already killed a worker are quarantined.
+  auto isolatedStep = [&]() {
+    // Backoff paces re-issue to workers; the rung quarantines suspects
+    // instead of re-running them, so it need not wait.
+    const WorkUnit *W = LT.lease(/*Owner=*/-2, /*Now=*/HUGE_VAL,
+                                 /*Deadline=*/0);
+    if (!W)
+      return;
+    uint64_t Id = W->Id;
+    CheckpointUnit U{W->Prefix, W->FrozenLen};
+    if (LT.attempts(Id) > 0) {
+      LT.quarantine(Id);
+      quarantineIncident(Id, "crash-suspect work unit (" +
+                                 std::to_string(LT.attempts(Id)) +
+                                 " worker deaths) quarantined: no fleet "
+                                 "workers left");
+      return;
+    }
+    if (Opts.StopOnFirstBug && Acc.Best.covers(pathKey(U.Prefix))) {
+      LT.commit(Id);
+      return;
+    }
+    ChildReport Rep;
+    ChildExit Ex;
+    if (!runIsolatedChild(isolatedInput(U, attemptBudget(), Acc.states(), Rng),
+                          Opts, Rep, Ex)) {
+      // Isolation is unavailable (fork/pipe failed). Running the unit here
+      // could kill the search, so stop with the frontier intact instead.
+      LT.release(Id);
+      ForkFailed = true;
+      return;
+    }
+    if (Ex.InterruptKilled) {
+      // Discard the partial batch: the resumed run re-executes it from the
+      // committed state, preserving the exact execution multiset.
+      LT.release(Id);
+      return;
+    }
+    if (Rep.Done && !Rep.Malformed) {
+      Rng = Rep.Done->Rng;
+      commitAttempt(Id, std::move(*Rep.Done), /*Front=*/true);
+      return;
+    }
+    // The child died (or garbled its records) inside the execution after
+    // its last ExecDone: commit through that one, attribute the crash, and
+    // skip the crashing subtree -- no choice resolves past the crash
+    // point, so everything below its stack dies the same death.
+    Attempt A;
+    if (Rep.HaveExec) {
+      A.Stats = Rep.ExecStats;
+      A.States = std::move(Rep.StatesDelta);
+      // Races past the last ExecDone belong to the execution the child
+      // died in; they are discarded with it.
+      A.Incidents.assign(Rep.Races.begin(),
+                         Rep.Races.begin() + long(Rep.RacesAtLastExec));
+      Rng = Rep.ExecRng;
+    }
+    std::optional<std::vector<ScheduleChoice>> Crash = crashPrefix(U, Rep);
+    if (Crash) {
+      std::optional<std::vector<ScheduleChoice>> Stack =
+          probe(*Crash, Acc.states(), Rng);
+      if (!Stack) {
+        // Interrupted: the crashing execution re-runs on resume, so it is
+        // neither recorded nor skipped.
+        A.Rem.push_back({std::move(*Crash), U.FrozenLen});
+        commitAttempt(Id, std::move(A), /*Front=*/true);
+        return;
+      }
+      Crash = std::move(Stack);
+      std::vector<ScheduleChoice> Next = *Crash;
+      if (RandomWalk) {
+        // Re-running with the same PRNG state would reproduce the crash
+        // forever; step the generator to a fresh stream.
+        Xorshift Step(Rng ? Rng : Opts.Seed);
+        Step.next();
+        Rng = Step.state();
+      }
+      if (advancePrefix(Next, U.FrozenLen, RandomWalk))
+        A.Rem.push_back({std::move(Next), U.FrozenLen});
+    }
+    commitAttempt(Id, std::move(A), /*Front=*/true);
+    std::vector<ScheduleChoice> Where =
+        Crash ? *Crash
+              : std::vector<ScheduleChoice>(U.Prefix.begin(),
+                                            U.Prefix.begin() +
+                                                long(U.FrozenLen));
+    Acc.addCrash({Ex.HangKilled ? Verdict::Hang : Verdict::Crash,
+                  describeExit(Ex, Opts.HangTimeoutSeconds), "",
+                  encodeSchedule(Where)});
   };
 
   auto handleDeath = [&](FleetWorker &W) {
-    W.Alive = false;
-    if (W.DownFd >= 0) {
-      ::close(W.DownFd);
-      W.DownFd = -1;
-    }
-    if (W.UpFd >= 0) {
-      ::close(W.UpFd);
-      W.UpFd = -1;
-    }
+    closeWorker(W);
     uint64_t Id = W.LeaseId;
     W.LeaseId = 0;
     if (W.DrainKilled) {
@@ -679,10 +1036,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         LT.release(Id);
       return;
     }
-    bump(obs::Counter::FleetWorkerCrashes, Total.FleetWorkerCrashes);
+    bump(obs::Counter::FleetWorkerCrashes, Acc.Stats.FleetWorkerCrashes);
     if (Id) {
       if (LT.fail(Id, elapsed()) == LeaseTable::FailOutcome::Requeued)
-        bump(obs::Counter::FleetReissues, Total.FleetReissues);
+        bump(obs::Counter::FleetReissues, Acc.Stats.FleetReissues);
       else
         quarantineIncident(
             Id, "work unit killed " + std::to_string(LT.attempts(Id)) +
@@ -691,10 +1048,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     if (RespawnsLeft > 0) {
       --RespawnsLeft;
       if (spawnWorker(W, BaseCfg, Chaos))
-        bump(obs::Counter::FleetRespawns, Total.FleetRespawns);
+        bump(obs::Counter::FleetRespawns, Acc.Stats.FleetRespawns);
     }
     // else: degraded width; with zero workers left the main loop falls
-    // back to in-process completion.
+    // back to the isolated rung.
   };
 
   auto reapZombies = [&]() {
@@ -783,39 +1140,22 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         if (!U)
           break;
         uint64_t Id = U->Id;
-        if (Opts.StopOnFirstBug && HasBug &&
-            !dfsBefore(pathKeyOfPrefix(U->Prefix), BestKey)) {
+        if (Opts.StopOnFirstBug && Acc.Best.covers(pathKey(U->Prefix))) {
           // DFS-at-or-after the best bug: cannot improve it. Retire the
           // unit without running it (the parallel driver's discard rule).
           LT.commit(Id);
           continue;
         }
-        uint64_t Budget = Batch;
-        if (Opts.MaxExecutions) {
-          // Bounded overshoot: each in-flight unit gets at most the cap
-          // remainder at issue time; committed units count whole.
-          uint64_t Left = Opts.MaxExecutions > Total.Executions
-                              ? Opts.MaxExecutions - Total.Executions
-                              : 1;
-          if (Left < Budget)
-            Budget = Left;
-        }
-        double TimeBudget = 0;
-        if (Opts.TimeBudgetSeconds > 0) {
-          TimeBudget = Opts.TimeBudgetSeconds - Now;
-          if (TimeBudget < 0.001)
-            TimeBudget = 0.001;
-        }
         WireWriter Wr;
         Wr.u64(Id);
-        Wr.u64(Budget);
-        Wr.f64(TimeBudget);
+        Wr.u64(attemptBudget());
+        Wr.f64(attemptTime());
         Wr.u32(uint32_t(U->FrozenLen));
         Wr.choices(U->Prefix);
         W.LeaseId = Id;
         if (!sendTo(W, TagUnit, Wr))
           break; // worker just died; reap fails the lease
-        if (Opts.StopOnFirstBug && HasBug)
+        if (Opts.StopOnFirstBug && Acc.Best.Has)
           (void)sendTo(W, TagBestBug, bestBugRecord());
         break; // one outstanding unit per worker
       }
@@ -823,22 +1163,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   };
 
   auto buildCheckpoint = [&]() {
-    auto CK = std::make_shared<CheckpointState>();
-    CK->Stats = Total;
-    CK->Stats.TimedOut = CK->Stats.ExecutionCapHit =
-        CK->Stats.SearchExhausted = CK->Stats.Interrupted = false;
-    CK->Stats.Seconds = 0;
-    CK->Stats.DistinctStates = States.size();
-    if (Opts.Races != RaceCheckMode::Off)
-      CK->Stats.RacesFound = RaceBase + RaceKeys.size();
-    CK->Rng = Opts.Seed;
-    CK->States.assign(States.begin(), States.end());
-    std::sort(CK->States.begin(), CK->States.end());
+    std::vector<CheckpointUnit> Units;
     for (const WorkUnit *U : LT.pendingUnits())
-      CK->Frontier.push_back({U->Prefix, U->FrozenLen});
-    if (HasBug)
-      CK->Bug = BestBug;
-    return CK;
+      Units.push_back({U->Prefix, U->FrozenLen});
+    return Acc.checkpoint(std::move(Units), Rng);
   };
 
   // Settles every outstanding lease: asks busy workers to stop (they
@@ -880,118 +1208,28 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
         W.DownFd = -1;
       }
     for (int Spin = 0; Spin < 100 && aliveCount() > 0; ++Spin) {
-      for (FleetWorker &W : Workers) {
-        if (!W.Alive)
-          continue;
-        int Status = 0;
-        if (::waitpid(W.Pid, &Status, WNOHANG) == W.Pid) {
-          W.Alive = false;
-          if (W.UpFd >= 0) {
-            ::close(W.UpFd);
-            W.UpFd = -1;
-          }
-        }
-      }
+      for (FleetWorker &W : Workers)
+        if (W.Alive && ::waitpid(W.Pid, nullptr, WNOHANG) == W.Pid)
+          closeWorker(W);
       if (aliveCount() > 0)
         ::usleep(10000);
     }
-    for (FleetWorker &W : Workers) {
-      if (!W.Alive)
-        continue;
-      ::kill(W.Pid, SIGKILL);
-      int Status = 0;
-      ::waitpid(W.Pid, &Status, 0);
-      W.Alive = false;
-      if (W.UpFd >= 0) {
-        ::close(W.UpFd);
-        W.UpFd = -1;
+    for (FleetWorker &W : Workers)
+      if (W.Alive) {
+        ::kill(W.Pid, SIGKILL);
+        ::waitpid(W.Pid, nullptr, 0);
+        closeWorker(W);
       }
-    }
-  };
-
-  // Last-resort degradation: every worker is gone and the respawn budget
-  // is spent. Units that never failed finish in the coordinator; units
-  // that already killed a worker are crash suspects and must not run in
-  // the only process left -- they are quarantined.
-  auto runQueueInProcess = [&]() {
-    StackPool Pool;
-    for (;;) {
-      if (interruptRequested()) {
-        Interrupted = true;
-        return;
-      }
-      if (Opts.MaxExecutions && Total.Executions >= Opts.MaxExecutions) {
-        CapHit = true;
-        return;
-      }
-      if (Opts.TimeBudgetSeconds > 0 && elapsed() >= Opts.TimeBudgetSeconds) {
-        TimedOut = true;
-        return;
-      }
-      if (TimedOut)
-        return;
-      const WorkUnit *U = LT.lease(/*Owner=*/-2, elapsed(), /*Deadline=*/0);
-      if (!U) {
-        if (LT.pendingCount() == 0)
-          return;
-        ::usleep(10000); // only backoff-delayed units remain
-        continue;
-      }
-      uint64_t Id = U->Id;
-      if (LT.attempts(Id) > 0) {
-        LT.quarantine(Id);
-        quarantineIncident(
-            Id, "crash-suspect work unit (" + std::to_string(LT.attempts(Id)) +
-                    " worker deaths) quarantined: no fleet workers left");
-        continue;
-      }
-      if (Opts.StopOnFirstBug && HasBug &&
-          !dfsBefore(pathKeyOfPrefix(U->Prefix), BestKey)) {
-        LT.commit(Id);
-        continue;
-      }
-      CheckerOptions AOpts = ChildOpts;
-      if (Opts.TimeBudgetSeconds > 0) {
-        AOpts.TimeBudgetSeconds = Opts.TimeBudgetSeconds - elapsed();
-        if (AOpts.TimeBudgetSeconds < 0.001)
-          AOpts.TimeBudgetSeconds = 0.001;
-      }
-      Explorer E(Program, AOpts);
-      if (AOpts.ReuseExecutionState)
-        E.setStackPool(&Pool);
-      if (!U->Prefix.empty())
-        E.preloadScheduleFrozenPrefix(U->Prefix, U->FrozenLen);
-      uint64_t Budget = UINT64_MAX;
-      if (Opts.MaxExecutions && Opts.MaxExecutions > Total.Executions)
-        Budget = Opts.MaxExecutions - Total.Executions;
-      uint64_t Done = 0;
-      std::vector<std::vector<ScheduleChoice>> Rem;
-      E.setExecutionHook([&](Explorer &Ex) {
-        ++Done;
-        if (Opts.StopOnFirstBug && HasBug &&
-            !dfsBefore(Ex.consumedPathKey(), BestKey))
-          return false;
-        if (interruptRequested() || Done >= Budget) {
-          Ex.splitWork(Rem, SIZE_MAX);
-          return false;
-        }
-        return true;
-      });
-      CheckResult R = E.run();
-      std::vector<uint64_t> SS(E.seenStates().begin(), E.seenStates().end());
-      commitAttempt(Id, R.Stats, R.Stats.TimedOut, R.Bug, R.Incidents, SS,
-                    std::move(Rem), /*Broadcast=*/false);
-    }
   };
 
   uint64_t NextCheckpointAt =
       Opts.CheckpointEvery
-          ? (Total.Executions / Opts.CheckpointEvery + 1) *
+          ? (Acc.Stats.Executions / Opts.CheckpointEvery + 1) *
                 Opts.CheckpointEvery
           : 0;
 
   for (;;) {
-    if (interruptRequested()) {
+    if (interruptRequested() || ForkFailed) {
       drainLeases(std::min(2.0, HbTimeout));
       if (LT.pendingCount() > 0) {
         ResumeOut = buildCheckpoint();
@@ -999,33 +1237,29 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       }
       break;
     }
-    if (Opts.MaxExecutions && Total.Executions >= Opts.MaxExecutions) {
+    if (Opts.MaxExecutions && Acc.Stats.Executions >= Opts.MaxExecutions) {
       CapHit = true;
       break;
     }
     if (Opts.TimeBudgetSeconds > 0 && elapsed() >= Opts.TimeBudgetSeconds)
       TimedOut = true;
-    if (TimedOut)
+    if (TimedOut || LT.pendingCount() == 0)
       break;
-    if (LT.pendingCount() == 0)
-      break;
-    if (aliveCount() == 0) {
-      runQueueInProcess();
-      if (Interrupted)
-        ResumeOut = buildCheckpoint();
-      break;
-    }
     if (NextCheckpointAt && Opts.CheckpointSink &&
-        Total.Executions >= NextCheckpointAt) {
+        Acc.Stats.Executions >= NextCheckpointAt) {
       // Checkpoint barrier: settle every lease so the frontier is exact,
       // persist, then resume issuing.
       drainLeases(2 * HbTimeout);
-      ++Total.Checkpoints;
-      if (Ctr)
-        Ctr->add(obs::Counter::Checkpoints);
+      bump(obs::Counter::Checkpoints, Acc.Stats.Checkpoints);
       Opts.CheckpointSink(*buildCheckpoint());
-      NextCheckpointAt = (Total.Executions / Opts.CheckpointEvery + 1) *
+      NextCheckpointAt = (Acc.Stats.Executions / Opts.CheckpointEvery + 1) *
                          Opts.CheckpointEvery;
+      continue;
+    }
+    if (aliveCount() == 0) {
+      // The last rung: every worker is gone (or --isolate=batch never
+      // had any).
+      isolatedStep();
       continue;
     }
     issueUnits();
@@ -1037,54 +1271,9 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   }
 
   shutdownWorkers();
-
-  CheckResult Result;
-  Result.Stats = Total;
-  Result.Stats.DistinctStates = States.size();
-  // Quarantine incidents keep their (unit-id ordered) arrival order, like
-  // the sandbox's crash incidents; race incidents sort by message so the
-  // list is deterministic across widths and schedules of arrival.
-  std::sort(RaceIncidents.begin(), RaceIncidents.end(),
-            [](const BugReport &A, const BugReport &B) {
-              return A.Message < B.Message;
-            });
-  Result.Incidents = std::move(CrashIncidents);
-  Result.Incidents.insert(Result.Incidents.end(), RaceIncidents.begin(),
-                          RaceIncidents.end());
-  if (Opts.Races != RaceCheckMode::Off)
-    Result.Stats.RacesFound = RaceBase + RaceKeys.size();
-  if (Opts.ExportStateSignatures) {
-    Result.StateSignatures.assign(States.begin(), States.end());
-    std::sort(Result.StateSignatures.begin(), Result.StateSignatures.end());
-  }
-  Result.Stats.ExecutionCapHit = CapHit;
-  Result.Stats.TimedOut = TimedOut;
-  Result.Stats.Interrupted = Interrupted;
+  CheckResult Result = Acc.finish(CapHit, TimedOut, Interrupted, elapsed());
   if (Interrupted)
     Result.Resume = ResumeOut;
-  if (HasBug) {
-    Result.Kind = BestKind;
-    Result.Bug = BestBug;
-  } else {
-    // No genuine workload bug: the first crash incident (a quarantined
-    // unit) stands in, mirroring the sandbox. Data races never stand in
-    // here -- escalation is finalizeRaces' top-level decision.
-    for (const BugReport &I : Result.Incidents)
-      if (I.Kind != Verdict::DataRace) {
-        Result.Kind = I.Kind;
-        Result.Bug = I;
-        break;
-      }
-    if (Result.Kind == Verdict::Pass && Total.Divergences > 0 &&
-        Total.Executions == 0)
-      Result.Kind = Verdict::Divergence;
-  }
-  // Exhausted iff nothing cut the enumeration short. First-bug pruning
-  // mirrors the serial early stop (flag stays clear), and a quarantined
-  // subtree counts like the sandbox's skipped crashing subtree.
-  Result.Stats.SearchExhausted =
-      !CapHit && !TimedOut && !Interrupted && !(HasBug && Opts.StopOnFirstBug);
-  Result.Stats.Seconds = elapsed();
   if (Ctr) {
     Ctr->setGauge(obs::Gauge::WorkQueueDepth, 0);
     Ctr->setGauge(obs::Gauge::ActiveWorkers, 0);

@@ -24,7 +24,7 @@
 
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
-#include "core/Schedule.h"
+#include "core/ResultAccumulator.h"
 #include "core/WorkQueue.h"
 #include "core/WorkStealDeque.h"
 #include "obs/Observer.h"
@@ -33,7 +33,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -45,26 +44,6 @@ using namespace fsmc;
 
 namespace {
 
-/// DFS order over choice paths: the first differing choice index decides;
-/// an ancestor precedes its extensions. Two distinct complete executions
-/// always differ at some consumed index, so this totally orders bugs.
-bool dfsBefore(const std::vector<int> &A, const std::vector<int> &B) {
-  size_t N = A.size() < B.size() ? A.size() : B.size();
-  for (size_t I = 0; I < N; ++I)
-    if (A[I] != B[I])
-      return A[I] < B[I];
-  return A.size() < B.size();
-}
-
-std::vector<int> pathKeyOfSchedule(const std::string &Schedule) {
-  std::vector<ScheduleChoice> Choices;
-  std::vector<int> Key;
-  if (decodeSchedule(Schedule, Choices))
-    for (const ScheduleChoice &C : Choices)
-      Key.push_back(C.Chosen);
-  return Key;
-}
-
 /// How long an idle worker parks on the injector between rescans. Also
 /// bounds the window in which a lock-free notify can be missed.
 constexpr std::chrono::microseconds ParkTimeout(500);
@@ -72,10 +51,11 @@ constexpr std::chrono::microseconds ParkTimeout(500);
 } // namespace
 
 struct ParallelExplorer::Shared {
-  Shared(size_t QueueCapacity, size_t Jobs)
+  Shared(size_t QueueCapacity, size_t Jobs, const CheckerOptions &Opts,
+         const CheckpointState &Base)
       : Injector(QueueCapacity), Deques(Jobs),
         StealReq(std::make_unique<std::atomic<bool>[]>(Jobs)),
-        Active(std::make_unique<std::atomic<bool>[]>(Jobs)) {
+        Active(std::make_unique<std::atomic<bool>[]>(Jobs)), Acc(Opts, Base) {
     for (size_t I = 0; I < Jobs; ++I) {
       StealReq[I].store(false, std::memory_order_relaxed);
       Active[I].store(false, std::memory_order_relaxed);
@@ -117,32 +97,20 @@ struct ParallelExplorer::Shared {
   std::mutex StashM;
   std::vector<std::vector<ScheduleChoice>> Stash;
 
-  // Best (DFS-smallest) bug so far. Guarded by BugM, but *not* read
-  // per-execution: BugVersion bumps on every improvement, and workers
-  // keep a private copy of (HasBug, BestKey) refreshed only when the
-  // version moved. Pruning against a slightly stale best is sound --
-  // a former best is DFS-after the current best, so anything pruned as
-  // DFS-after the former best is DFS-after the current best too.
+  // Committed results. Acc.Best (the DFS-smallest bug so far) is guarded
+  // by BugM but *not* read per-execution: BugVersion bumps on every
+  // improvement, and workers keep a private copy of (Has, Key) refreshed
+  // only when the version moved. Pruning against a slightly stale best is
+  // sound -- a former best is DFS-after the current best, so anything
+  // pruned as DFS-after the former best is DFS-after the current best too.
+  // Everything else in Acc is guarded by MergeM and merged deferred:
+  // workers accumulate stats, signature shards and race incidents in
+  // worker-local buffers and commit them once per worker per epoch
+  // (before the epoch's join), never per item.
   std::mutex BugM;
   std::atomic<uint64_t> BugVersion{0};
-  bool HasBug = false;
-  std::vector<int> BestKey;
-  BugReport BestBug;
-  Verdict BestKind = Verdict::Pass;
-
-  // Result aggregation, deferred: workers accumulate stats, signature
-  // shards and race incidents in worker-local buffers and merge them
-  // here once per worker per epoch (before the epoch's join), never per
-  // item. Guarded by MergeM.
   std::mutex MergeM;
-  SearchStats Total;
-  std::shared_ptr<obs::SearchProfile> Profile; ///< Guarded by MergeM.
-  std::unordered_set<uint64_t> States;
-  // Race incidents, deduplicated globally: workers dedup only within
-  // their own buffers, so the same race arriving from two workers must
-  // collapse here. Guarded by MergeM.
-  std::unordered_set<std::string> RaceKeys;
-  std::vector<BugReport> RaceIncidents;
+  ResultAccumulator Acc;
 
   void requestStop() {
     StopAll.store(true, std::memory_order_relaxed);
@@ -168,44 +136,25 @@ struct ParallelExplorer::Shared {
       Stash.push_back(std::move(P));
   }
 
-  void offerBug(const BugReport &Bug, Verdict Kind) {
-    std::vector<int> Key = pathKeyOfSchedule(Bug.Schedule);
+  void offerBug(const BugReport &Bug) {
     std::lock_guard<std::mutex> Lock(BugM);
-    if (!HasBug || dfsBefore(Key, BestKey)) {
-      HasBug = true;
-      BestKey = std::move(Key);
-      BestBug = Bug;
-      BestKind = Kind;
+    if (Acc.Best.offer(Bug))
       BugVersion.fetch_add(1, std::memory_order_release);
-    }
   }
 };
 
 ParallelExplorer::ParallelExplorer(const TestProgram &Program,
-                                   const CheckerOptions &Opts)
-    : Program(Program), Opts(Opts) {}
+                                   const CheckerOptions &Opts,
+                                   const CheckpointState &Frontier)
+    : Program(Program), Opts(Opts), Frontier(Frontier) {}
 
 ParallelExplorer::~ParallelExplorer() = default;
 
-void ParallelExplorer::resumeFrom(const CheckpointState &CK) {
-  ResumeCK = std::make_shared<CheckpointState>(CK);
-}
-
 CheckResult ParallelExplorer::run() {
-  int Jobs = Opts.Jobs;
-  // Random walks draw fresh randomness per execution and stateful pruning
-  // keys off the global visit order; neither partitions by prefix, so
-  // they run serially. (resumeCheck routes those to the serial unit
-  // chain, never here.)
-  if (Jobs <= 1 || Opts.Kind == SearchKind::RandomWalk ||
-      Opts.StatefulPruning) {
-    assert(!ResumeCK && "serial fallback cannot consume a checkpoint");
-    Explorer E(Program, Opts);
-    return E.run();
-  }
-
+  const int Jobs = Opts.Jobs;
   auto Start = std::chrono::steady_clock::now();
-  Shared SH(/*QueueCapacity=*/size_t(Jobs) * 64, size_t(Jobs));
+  Shared SH(/*QueueCapacity=*/size_t(Jobs) * 64, size_t(Jobs), Opts,
+            Frontier);
   if (Opts.Obs)
     SH.Injector.setObserver(&Opts.Obs->shard(0));
   if (Opts.TimeBudgetSeconds > 0) {
@@ -216,34 +165,16 @@ CheckResult ParallelExplorer::run() {
                                   Opts.TimeBudgetSeconds));
   }
 
-  if (ResumeCK) {
-    // Continue a checkpointed run: cumulative totals, seeded coverage,
-    // the carried-over first bug, and the frontier sharded into fully
-    // frozen subtree prefixes. The injector's capacity is soft, so a
-    // frontier wider than the queue still seeds completely.
-    SH.Total = ResumeCK->Stats;
-    SH.Total.TimedOut = SH.Total.ExecutionCapHit = SH.Total.SearchExhausted =
-        SH.Total.Interrupted = false;
-    SH.Total.Seconds = 0;
-    SH.Executions.store(ResumeCK->Stats.Executions,
-                        std::memory_order_relaxed);
-    SH.States.insert(ResumeCK->States.begin(), ResumeCK->States.end());
-    if (ResumeCK->Bug)
-      SH.offerBug(*ResumeCK->Bug, ResumeCK->Bug->Kind);
-    std::vector<WorkItem> Seed;
-    for (const CheckpointUnit &U : ResumeCK->Frontier)
-      for (auto &P : decomposeUnitToFrozenPrefixes(U))
-        Seed.push_back(WorkItem{std::move(P)});
-    SH.registerItems(Seed.size());
-    SH.Injector.pushAll(std::move(Seed));
-  } else {
-    // Seed the search with the whole tree: one item, empty prefix. The
-    // other workers immediately post steal requests at whoever pops it,
-    // and the tree fans out from its first execution boundaries.
-    std::vector<WorkItem> Root(1);
-    SH.registerItems(1);
-    SH.Injector.pushAll(std::move(Root));
-  }
+  // Seed the frontier as fully frozen subtree prefixes (the injector's
+  // capacity is soft). A fresh search is one empty-prefix item that the
+  // other workers' steal requests fan out from.
+  SH.Executions.store(SH.Acc.Stats.Executions, std::memory_order_relaxed);
+  std::vector<WorkItem> Seed;
+  for (const CheckpointUnit &U : Frontier.Frontier)
+    for (auto &P : decomposeUnitToFrozenPrefixes(U))
+      Seed.push_back(WorkItem{std::move(P)});
+  SH.registerItems(Seed.size());
+  SH.Injector.pushAll(std::move(Seed));
 
   CheckerOptions WorkerOpts = Opts;
   WorkerOpts.Jobs = 1;
@@ -309,8 +240,8 @@ CheckResult ParallelExplorer::run() {
       CountLock();
       std::lock_guard<std::mutex> Lock(SH.BugM);
       LBugVer = SH.BugVersion.load(std::memory_order_relaxed);
-      LHasBug = SH.HasBug;
-      LBestKey = SH.BestKey;
+      LHasBug = SH.Acc.Best.Has;
+      LBestKey = SH.Acc.Best.Key;
     };
 
     /// Posts a steal request at the nearest active worker. One victim
@@ -407,15 +338,9 @@ CheckResult ParallelExplorer::run() {
       // Serial semantics never reach subtrees past the first bug.
       if (StopOnFirstBug && !Item->Prefix.empty()) {
         RefreshBug();
-        if (LHasBug) {
-          std::vector<int> Key;
-          Key.reserve(Item->Prefix.size());
-          for (const ScheduleChoice &C : Item->Prefix)
-            Key.push_back(C.Chosen);
-          if (!dfsBefore(Key, LBestKey)) {
-            SH.finishItems(1);
-            continue;
-          }
+        if (LHasBug && !dfsBefore(pathKey(Item->Prefix), LBestKey)) {
+          SH.finishItems(1);
+          continue;
         }
       }
 
@@ -537,7 +462,7 @@ CheckResult ParallelExplorer::run() {
       }
       if (R.Bug) {
         CountLock();
-        SH.offerBug(*R.Bug, R.Kind);
+        SH.offerBug(*R.Bug);
       }
       // Worker-local accumulation -- the per-item merge lock is gone.
       mergeSearchStats(LStats, R.Stats);
@@ -567,19 +492,8 @@ CheckResult ParallelExplorer::run() {
     {
       CountLock();
       std::lock_guard<std::mutex> Lock(SH.MergeM);
-      mergeSearchStats(SH.Total, LStats);
-      if (LProfile) {
-        if (!SH.Profile)
-          SH.Profile = LProfile;
-        else
-          SH.Profile->merge(*LProfile);
-      }
-      if (!LStates.empty())
-        SH.States.insert(LStates.begin(), LStates.end());
-      for (BugReport &I : LRaceIncidents)
-        if (I.Kind != Verdict::DataRace ||
-            SH.RaceKeys.insert(I.Message).second)
-          SH.RaceIncidents.push_back(std::move(I));
+      SH.Acc.commit(LStats, LStates, LRaceIncidents);
+      SH.Acc.mergeProfile(LProfile);
     }
     if (WCtr) {
       WCtr->add(obs::Counter::MergeNs,
@@ -595,24 +509,11 @@ CheckResult ParallelExplorer::run() {
   // valid between epochs, when every worker has joined (and therefore
   // merged its local buffers).
   auto buildCheckpoint = [&]() {
-    auto CK = std::make_shared<CheckpointState>();
-    CK->Stats = SH.Total;
-    CK->Stats.TimedOut = CK->Stats.ExecutionCapHit =
-        CK->Stats.SearchExhausted = CK->Stats.Interrupted = false;
-    CK->Stats.Seconds = 0;
-    CK->Stats.DistinctStates = SH.States.size();
-    if (Opts.Races != RaceCheckMode::Off)
-      CK->Stats.RacesFound = (ResumeCK ? ResumeCK->Stats.RacesFound : 0) +
-                             SH.RaceKeys.size();
-    CK->Rng = Opts.Seed;
-    CK->States.assign(SH.States.begin(), SH.States.end());
-    std::sort(CK->States.begin(), CK->States.end());
-    CK->Frontier.reserve(SH.Stash.size());
+    std::vector<CheckpointUnit> Units;
+    Units.reserve(SH.Stash.size());
     for (const auto &P : SH.Stash)
-      CK->Frontier.push_back({P, P.size()});
-    if (SH.HasBug)
-      CK->Bug = SH.BestBug;
-    return CK;
+      Units.push_back({P, P.size()});
+    return SH.Acc.checkpoint(std::move(Units), Opts.Seed);
   };
 
   bool Interrupted = false;
@@ -631,7 +532,7 @@ CheckResult ParallelExplorer::run() {
       break; // Search ended for real (drained, bug, cap, timeout).
     if (SH.StopAll.load(std::memory_order_relaxed))
       break; // A budget fired while the epoch wound down; it wins.
-    if (SH.HasBug && StopOnFirstBug)
+    if (SH.Acc.Best.Has && StopOnFirstBug)
       break;
 
     if (SH.InterruptSeen.load(std::memory_order_relaxed)) {
@@ -647,7 +548,7 @@ CheckResult ParallelExplorer::run() {
     // back and run the next epoch.
     if (SH.Stash.empty())
       break; // Boundary coincided with exhaustion; nothing left to save.
-    ++SH.Total.Checkpoints;
+    ++SH.Acc.Stats.Checkpoints;
     if (DCtr)
       DCtr->add(obs::Counter::Checkpoints);
     Opts.CheckpointSink(*buildCheckpoint());
@@ -664,54 +565,11 @@ CheckResult ParallelExplorer::run() {
     SH.Injector.pushAll(std::move(Items));
   }
 
-  CheckResult Result;
-  Result.Stats = SH.Total;
-  Result.Profile = SH.Profile;
-  Result.Stats.DistinctStates = SH.States.size();
-  if (!SH.RaceIncidents.empty()) {
-    // Worker arrival order is nondeterministic; the messages are not (the
-    // execution multiset is), so sorting by message makes the incident
-    // list and its count deterministic across runs and job counts.
-    std::sort(SH.RaceIncidents.begin(), SH.RaceIncidents.end(),
-              [](const BugReport &A, const BugReport &B) {
-                return A.Message < B.Message;
-              });
-    Result.Incidents = std::move(SH.RaceIncidents);
-  }
-  // Per-worker RacesFound summed across workers overcounts shared races;
-  // the global key set is the true distinct count (plus any base from a
-  // resumed checkpoint, whose keys are no longer available).
-  if (Opts.Races != RaceCheckMode::Off) {
-    uint64_t Base = ResumeCK ? ResumeCK->Stats.RacesFound : 0;
-    Result.Stats.RacesFound = Base + SH.RaceKeys.size();
-  }
-  if (Opts.ExportStateSignatures) {
-    Result.StateSignatures.assign(SH.States.begin(), SH.States.end());
-    std::sort(Result.StateSignatures.begin(), Result.StateSignatures.end());
-  }
-  Result.Stats.ExecutionCapHit = SH.CapHit.load();
-  Result.Stats.TimedOut = SH.GlobalTimeout.load();
-  Result.Stats.Interrupted = Interrupted;
+  CheckResult Result = SH.Acc.finish(
+      SH.CapHit.load(), SH.GlobalTimeout.load(), Interrupted,
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
+          .count());
   if (Interrupted)
     Result.Resume = ResumeOut;
-  if (SH.HasBug) {
-    Result.Kind = SH.BestKind;
-    Result.Bug = std::move(SH.BestBug);
-  }
-  // Exhausted iff nothing cut the enumeration short: every subtree either
-  // ran dry or was pruned only by the first-bug rule (which mirrors the
-  // serial early stop, where the flag is also left clear).
-  Result.Stats.SearchExhausted = !Result.Stats.ExecutionCapHit &&
-                                 !Result.Stats.TimedOut && !Interrupted &&
-                                 !(SH.HasBug && StopOnFirstBug);
-  auto Elapsed = std::chrono::steady_clock::now() - Start;
-  Result.Stats.Seconds = std::chrono::duration<double>(Elapsed).count();
   return Result;
-}
-
-CheckResult fsmc::checkParallel(const TestProgram &Program,
-                                const CheckerOptions &Opts, int Jobs) {
-  CheckerOptions E = Opts;
-  E.Jobs = Jobs;
-  return check(Program, E);
 }

@@ -51,15 +51,15 @@ struct CheckpointState;
 /// Drives one parallel checker run with Opts.Jobs workers.
 class ParallelExplorer {
 public:
-  ParallelExplorer(const TestProgram &Program, const CheckerOptions &Opts);
+  /// Explores \p Frontier (a fresh search is the one-unit root frontier):
+  /// its units are sharded into fully frozen subtree prefixes
+  /// (decomposeUnitToFrozenPrefixes), and its stats, coverage and first
+  /// bug carry over so a resumed run reports cumulative totals. Random
+  /// walks and stateful pruning do not shard; runFrontier runs them
+  /// serially.
+  ParallelExplorer(const TestProgram &Program, const CheckerOptions &Opts,
+                   const CheckpointState &Frontier);
   ~ParallelExplorer();
-
-  /// Seeds the search from a checkpoint instead of the tree root: the
-  /// frontier units are sharded into fully frozen subtree prefixes
-  /// (decomposeUnitToFrozenPrefixes), and stats / coverage / the first
-  /// bug carry over so the combined run reports cumulative totals. Must
-  /// precede run().
-  void resumeFrom(const CheckpointState &CK);
 
   /// Runs the sharded search to completion (exhaustion, first bug, or a
   /// shared budget) and returns the aggregated result. Honors
@@ -75,12 +75,8 @@ private:
 
   const TestProgram &Program;
   CheckerOptions Opts;
-  std::shared_ptr<CheckpointState> ResumeCK;
+  const CheckpointState &Frontier;
 };
-
-/// Convenience entry point: check() with \p Jobs workers.
-CheckResult checkParallel(const TestProgram &Program,
-                          const CheckerOptions &Opts, int Jobs);
 
 } // namespace fsmc
 

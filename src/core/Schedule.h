@@ -65,10 +65,11 @@ struct ScheduleChoice {
 /// Renders choices in the `fsmc1:` wire format.
 std::string encodeSchedule(const std::vector<ScheduleChoice> &Choices);
 
-/// Parses the wire format. \returns false on malformed input, leaving
-/// \p Out unspecified.
-bool decodeSchedule(const std::string &Text,
-                    std::vector<ScheduleChoice> &Out);
+/// Parses the wire format strictly: every number must be the whole of
+/// its field and fit its type. \returns false on malformed input, leaving
+/// \p Out unspecified and, when \p Why is non-null, the reason in it.
+bool decodeSchedule(const std::string &Text, std::vector<ScheduleChoice> &Out,
+                    std::string *Why = nullptr);
 
 /// Re-executes \p Program once under the recorded \p Schedule (typically
 /// BugReport::Schedule) and reports that single execution's outcome.

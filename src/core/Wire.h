@@ -1,4 +1,4 @@
-//===- core/Wire.h - Framed pipe protocol shared by sandbox/fleet -*- C++ -*-===//
+//===- core/Wire.h - Framed pipe protocol of the fleet ----------*- C++ -*-===//
 //
 // Part of the fsmc project: a reproduction of "Fair Stateless Model
 // Checking" (Musuvathi & Qadeer, PLDI 2008).
@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The wire format the fork-based engines speak over their pipes: records
-/// of `u8 tag + u32 length + payload`, written and parsed with the helpers
-/// here. Both sides are the same process image (fork, no exec), so
+/// The wire format the fleet's workers and isolated rung speak over their
+/// pipes: records of `u8 tag + u32 length + payload`, written and parsed
+/// with the helpers here. Both sides are the same process image (fork, no exec), so
 /// trivially-copyable payloads (SearchStats, ScheduleChoice) cross as raw
 /// bytes.
 ///
@@ -199,10 +199,6 @@ public:
     }
     Buf.erase(0, Off);
   }
-
-  /// True when a partial record is still buffered -- at EOF this means the
-  /// peer died mid-record.
-  bool hasPartial() const { return !Buf.empty(); }
 
 private:
   std::string Buf;

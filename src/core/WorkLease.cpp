@@ -7,15 +7,18 @@
 
 using namespace fsmc;
 
-uint64_t LeaseTable::add(std::vector<ScheduleChoice> Prefix,
-                         size_t FrozenLen) {
+uint64_t LeaseTable::add(std::vector<ScheduleChoice> Prefix, size_t FrozenLen,
+                         bool Front) {
   uint64_t Id = NextId++;
   Entry E;
   E.U.Id = Id;
   E.U.Prefix = std::move(Prefix);
   E.U.FrozenLen = FrozenLen;
   Entries.emplace(Id, std::move(E));
-  Queue.push_back(Id);
+  if (Front)
+    Queue.push_front(Id);
+  else
+    Queue.push_back(Id);
   return Id;
 }
 

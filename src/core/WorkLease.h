@@ -71,8 +71,11 @@ public:
   LeaseTable() = default;
   explicit LeaseTable(const Config &C) : Cfg(C) {}
 
-  /// Adds a queued unit; returns its id.
-  uint64_t add(std::vector<ScheduleChoice> Prefix, size_t FrozenLen);
+  /// Adds a queued unit, at the back of the queue or with \p Front at the
+  /// front (a serial search continuing the unit it just ran); returns its
+  /// id.
+  uint64_t add(std::vector<ScheduleChoice> Prefix, size_t FrozenLen,
+               bool Front = false);
 
   /// Leases the oldest queued unit whose backoff has elapsed at \p Now,
   /// marking it held by \p Owner until \p Deadline. Null when nothing is

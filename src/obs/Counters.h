@@ -66,8 +66,8 @@ enum class Counter : unsigned {
   // byte-identical.
   Divergences,             ///< Prefixes discarded after failed replays.
   DivergenceRetries,       ///< Re-executions of mismatching prefixes.
-  Crashes,                 ///< Sandboxed executions that died on a signal.
-  Hangs,                   ///< Sandboxed executions killed by the watchdog.
+  Crashes,                 ///< Isolated executions that died on a signal.
+  Hangs,                   ///< Isolated executions killed by the watchdog.
   Checkpoints,             ///< Checkpoints written.
   RacesChecked,            ///< Plain accesses race-checked (--races=on).
   RacesFound,              ///< Distinct data races found.

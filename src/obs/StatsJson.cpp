@@ -245,7 +245,7 @@ std::string fsmc::obs::renderStatsJson(const CheckResult &R,
       appendKVStr(Out, "memory", memoryModelName(O.Memory), true);
     if (O.Isolate != IsolationMode::Off) {
       appendKVStr(Out, "isolate", "batch", true);
-      appendKV(Out, "sandbox_batch_size", uint64_t(O.SandboxBatchSize), true);
+      appendKV(Out, "sandbox_batch_size", uint64_t(O.BatchSize), true);
     }
     if (O.DivergenceRetries != 3)
       appendKV(Out, "divergence_retries", uint64_t(O.DivergenceRetries), true);
@@ -256,7 +256,7 @@ std::string fsmc::obs::renderStatsJson(const CheckResult &R,
       appendKV(Out, "checkpoint_every", O.CheckpointEvery, true);
     if (O.FleetWorkers > 0) {
       appendKV(Out, "fleet_workers", uint64_t(O.FleetWorkers), true);
-      appendKV(Out, "fleet_batch", uint64_t(O.FleetBatchSize), true);
+      appendKV(Out, "fleet_batch", uint64_t(O.BatchSize), true);
       appendKV(Out, "fleet_quarantine", uint64_t(O.FleetQuarantine), true);
     }
     appendKVBool(Out, "stop_on_first_bug", O.StopOnFirstBug, false);
@@ -264,58 +264,15 @@ std::string fsmc::obs::renderStatsJson(const CheckResult &R,
   }
 
   Out += "  \"stats\": {\n";
-  appendKV(Out, "executions", S.Executions, true);
-  appendKV(Out, "transitions", S.Transitions, true);
-  appendKV(Out, "preemptions", S.Preemptions, true);
-  appendKV(Out, "nonterminating_executions", S.NonterminatingExecutions,
-           true);
-  appendKV(Out, "pruned_executions", S.PrunedExecutions, true);
-  // POR stats appear only when the reduction did something, mirroring the
-  // robustness stats below: a --por=off report keeps its legacy shape.
-  if (S.PorSleepHits != 0)
-    appendKV(Out, "por_sleep_hits", S.PorSleepHits, true);
-  if (S.PorBranchesPruned != 0)
-    appendKV(Out, "por_branches_pruned", S.PorBranchesPruned, true);
-  if (S.PorFairWakes != 0)
-    appendKV(Out, "por_fair_wakes", S.PorFairWakes, true);
-  appendKV(Out, "max_depth", S.MaxDepth, true);
-  appendKV(Out, "distinct_states", S.DistinctStates, true);
-  appendKV(Out, "fair_edge_additions", S.FairEdgeAdditions, true);
-  appendKV(Out, "bugs_found", S.BugsFound, true);
-  appendKV(Out, "max_threads", uint64_t(S.MaxThreads), true);
-  appendKV(Out, "max_sync_ops", S.MaxSyncOps, true);
-  // Robustness stats are zero/false on every healthy run and omitted then,
-  // keeping legacy stats-json output byte-identical.
-  if (S.Divergences != 0)
-    appendKV(Out, "divergences", S.Divergences, true);
-  if (S.DivergenceRetries != 0)
-    appendKV(Out, "divergence_retries", S.DivergenceRetries, true);
-  if (S.Crashes != 0)
-    appendKV(Out, "crashes", S.Crashes, true);
-  if (S.Hangs != 0)
-    appendKV(Out, "hangs", S.Hangs, true);
-  if (S.Checkpoints != 0)
-    appendKV(Out, "checkpoints", S.Checkpoints, true);
-  if (S.RacesChecked != 0)
-    appendKV(Out, "races_checked", S.RacesChecked, true);
-  if (S.RacesFound != 0)
-    appendKV(Out, "races_found", S.RacesFound, true);
-  // Fleet recovery counters, zero (and omitted) on healthy fleet runs and
-  // on every non-fleet run.
-  if (S.FleetWorkerCrashes != 0)
-    appendKV(Out, "fleet_worker_crashes", S.FleetWorkerCrashes, true);
-  if (S.FleetReissues != 0)
-    appendKV(Out, "fleet_reissues", S.FleetReissues, true);
-  if (S.FleetRespawns != 0)
-    appendKV(Out, "fleet_respawns", S.FleetRespawns, true);
-  if (S.FleetQuarantined != 0)
-    appendKV(Out, "fleet_quarantined", S.FleetQuarantined, true);
-  // Weak-memory stats, nonzero only under --memory=tso|pso (flushes and
-  // buffered stores do not exist under sc), so sc output keeps its bytes.
-  if (S.BufferedStores != 0)
-    appendKV(Out, "buffered_stores", S.BufferedStores, true);
-  if (S.StoreFlushes != 0)
-    appendKV(Out, "store_flushes", S.StoreFlushes, true);
+  // Keys follow the schema's rows; NonZero rows (POR, robustness, fleet
+  // recovery, weak memory) are omitted at zero, so reports of runs that
+  // never touch those features keep their legacy bytes.
+#define FSMC_JSON_STAT(Field, M, Key, Json, Ckpt, C)                           \
+  if (stats::Json == stats::Always ||                                          \
+      (stats::Json == stats::NonZero && S.Field != 0))                         \
+    appendKV(Out, Key, uint64_t(S.Field), true);
+  FSMC_SEARCH_STATS(FSMC_JSON_STAT)
+#undef FSMC_JSON_STAT
   if (S.Interrupted)
     appendKVBool(Out, "interrupted", true, true);
   char Secs[48];

@@ -17,7 +17,7 @@ namespace {
 [[noreturn]] void hardSpin() {
   // An infinite loop inside a single transition: no visible operation
   // ever runs again, so the execution bound cannot classify it -- only
-  // the sandbox watchdog can. The volatile sink keeps the loop a real
+  // the isolation watchdog can. The volatile sink keeps the loop a real
   // loop under optimization.
   volatile unsigned Sink = 0;
   for (;;)

@@ -11,7 +11,7 @@
 /// CHESS's production targets (Section 6) misbehaved exactly like this:
 /// the bug is not an assertion the checker can catch in-process but a
 /// death of the process itself. This workload exercises --isolate=batch:
-/// the sandbox must harvest the fault as Verdict::Crash / Verdict::Hang
+/// isolation must harvest the fault as Verdict::Crash / Verdict::Hang
 /// with a replayable schedule while the search of the remaining
 /// interleavings completes.
 ///
@@ -31,9 +31,9 @@ struct CrashFaultConfig {
   /// What happens on the triggering interleaving.
   enum class Fault {
     None,     ///< Nothing: the benign race-reader configuration.
-    NullDeref,///< Dereference null: SIGSEGV, the sandbox sees a crash.
-    Abort,    ///< std::abort(): SIGABRT, the sandbox sees a crash.
-    Hang,     ///< Spin inside one transition forever: the sandbox
+    NullDeref,///< Dereference null: SIGSEGV, isolation sees a crash.
+    Abort,    ///< std::abort(): SIGABRT, isolation sees a crash.
+    Hang,     ///< Spin inside one transition forever: the isolation
               ///< watchdog kills the child and reports a hang.
     Race,     ///< No process fault; the writers and the reader share a
               ///< plain (unsynchronized) variable instead, seeding the

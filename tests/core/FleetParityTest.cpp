@@ -9,13 +9,14 @@
 // nothing and its unit is re-run identically. The only permitted deltas
 // are wall time and the fleet_* recovery counters.
 //
-// Also here: the degradation ladder (reduced width, in-process fallback,
-// poison-unit quarantine) and the interrupt/checkpoint/resume loop.
+// Also here: the degradation ladder (reduced width, the isolated last
+// rung, poison-unit quarantine) and the interrupt/checkpoint/resume loop.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Checker.h"
 #include "core/Checkpoint.h"
+#include "core/Schedule.h"
 
 #include "workloads/CrashFault.h"
 #include "workloads/DiningPhilosophers.h"
@@ -26,10 +27,13 @@
 
 #include <atomic>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 using namespace fsmc;
 
@@ -95,7 +99,7 @@ CheckerOptions exhaustiveOpts(int Cb) {
 
 CheckerOptions fleetOpts(CheckerOptions O, int Workers, int Batch = 16) {
   O.FleetWorkers = Workers;
-  O.FleetBatchSize = Batch;
+  O.BatchSize = Batch;
   return O;
 }
 
@@ -266,7 +270,7 @@ TEST(FleetChaos, HungWorkerIsDetectedByHeartbeatAndRecovered) {
                                   /*Batch=*/16);
   Base.FleetQuarantine = 10;
   // Tight heartbeat so the hang is declared in well under a second.
-  Base.FleetHeartbeatTimeout = 0.4;
+  Base.HangTimeoutSeconds = 0.4;
   CheckResult Clean;
   {
     ChaosEnv Env(nullptr);
@@ -310,8 +314,8 @@ TEST(FleetChaos, ReducedWidthAfterExhaustedRespawnBudgetStaysExact) {
 TEST(FleetChaos, AllWorkersDeadDegradesToInProcessWithoutDeadlock) {
   // Every worker dies with no respawn budget. The coordinator must not
   // hang on dead pipes: units whose attempts killed workers are
-  // quarantined as crash suspects, anything untried runs in-process, and
-  // the run terminates with an honest verdict.
+  // quarantined as crash suspects, anything untried runs in the isolated
+  // rung, and the run terminates with an honest verdict.
   CheckerOptions Base = fleetOpts(exhaustiveOpts(2), /*Workers=*/2,
                                   /*Batch=*/64);
   Base.FleetRespawnBudget = 0;
@@ -348,6 +352,37 @@ TEST(FleetChaos, PoisonUnitIsQuarantinedAsReplayableCrash) {
   ASSERT_FALSE(R.Incidents.empty());
   EXPECT_EQ(R.Incidents.front().Kind, Verdict::Crash);
   EXPECT_FALSE(R.Incidents.front().Schedule.empty());
+}
+
+TEST(FleetChaos, DefaultBudgetCrashFaultSurvivesAndReplays) {
+  // A workload that crashes often enough to spend the default respawn
+  // budget: the degradation ladder ends in the isolated rung, never in
+  // the caller's process, and the reported crash carries a schedule that
+  // crashes again under isolated replay. Run in a forked child, so a
+  // regression fails this test instead of killing the test binary.
+  EXPECT_EXIT(
+      {
+        CrashFaultConfig C;
+        C.Kind = CrashFaultConfig::Fault::NullDeref;
+        CheckerOptions O;
+        O.FleetWorkers = 2;
+        CheckResult R = check(makeCrashFaultProgram(C), O);
+        if (R.Kind != Verdict::Crash || !R.Bug) {
+          fprintf(stderr, "fleet verdict: %s\n", verdictName(R.Kind));
+          _exit(1);
+        }
+        CheckerOptions Iso;
+        Iso.Isolate = IsolationMode::Batch;
+        CheckResult Re =
+            replaySchedule(makeCrashFaultProgram(C), Iso, R.Bug->Schedule);
+        if (Re.Kind != Verdict::Crash) {
+          fprintf(stderr, "replay of %s: %s\n", R.Bug->Schedule.c_str(),
+                  verdictName(Re.Kind));
+          _exit(2);
+        }
+        _exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,7 @@
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
 #include "core/Schedule.h"
+#include "obs/StatsJson.h"
 #include "workloads/DiningPhilosophers.h"
 #include "workloads/Peterson.h"
 
@@ -397,4 +398,77 @@ TEST(Resume, PorParallelResumeOfSerialCheckpointMatches) {
   EXPECT_EQ(Resumed.Stats.PorBranchesPruned,
             Straight.Stats.PorBranchesPruned);
   EXPECT_EQ(Resumed.Stats.PorFairWakes, Straight.Stats.PorFairWakes);
+}
+
+//===----------------------------------------------------------------------===//
+// The SearchStats schema (FSMC_SEARCH_STATS in core/Checker.h): every
+// field has a row, and merge, checkpoint and stats-json keep every value.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Converts to any field type: brace-initializing an aggregate with N of
+/// these compiles iff it has at least N fields.
+struct AnyField {
+  template <typename T> operator T() const { return T(); }
+};
+
+template <typename T, typename... Fs> constexpr size_t fieldCount() {
+  if constexpr (requires { T{Fs{}..., AnyField{}}; })
+    return fieldCount<T, Fs..., AnyField>();
+  else
+    return sizeof...(Fs);
+}
+
+} // namespace
+
+TEST(StatsSchema, EveryFieldHasARowThatMergesAndRoundTrips) {
+  size_t Rows = 0;
+#define COUNT_ROW(...) ++Rows;
+  FSMC_SEARCH_STATS(COUNT_ROW)
+#undef COUNT_ROW
+  ASSERT_EQ(Rows, fieldCount<SearchStats>())
+      << "a SearchStats field has no FSMC_SEARCH_STATS row";
+
+  // Distinct nonzero values (flags can only be true).
+  SearchStats S;
+  uint64_t Next = 1;
+#define FILL_ROW(Field, ...) S.Field = decltype(S.Field)(Next++);
+  FSMC_SEARCH_STATS(FILL_ROW)
+#undef FILL_ROW
+
+  SearchStats Once, Twice;
+  mergeSearchStats(Once, S);
+  mergeSearchStats(Twice, S);
+  mergeSearchStats(Twice, S);
+  CheckpointState CK;
+  CK.Stats = S;
+  CK.Frontier.push_back({});
+  CheckpointState Back;
+  std::string Name, Err;
+  uint64_t Seed = 0;
+  ASSERT_TRUE(decodeCheckpoint(encodeCheckpoint(CK, "p", 1), Back, Name, Seed,
+                               Err))
+      << Err;
+  CheckResult R;
+  R.Stats = S;
+  std::string Json = obs::renderStatsJson(R, obs::StatsJsonInfo());
+
+#define CHECK_ROW(Field, M, Key, JsonRule, Ckpt, C)                            \
+  if (stats::M == stats::Sum) {                                                \
+    EXPECT_EQ(Once.Field, S.Field) << Key;                                     \
+    EXPECT_EQ(Twice.Field, S.Field + S.Field) << Key;                          \
+  } else if (stats::M == stats::Max) {                                         \
+    EXPECT_EQ(Twice.Field, S.Field) << Key;                                    \
+  }                                                                            \
+  if (stats::Ckpt != stats::Never) {                                           \
+    EXPECT_EQ(Back.Stats.Field, S.Field) << Key;                               \
+  }                                                                            \
+  if (stats::JsonRule != stats::Never) {                                       \
+    EXPECT_NE(Json.find("\"" Key "\": " + std::to_string(uint64_t(S.Field))),  \
+              std::string::npos)                                               \
+        << Key;                                                                \
+  }
+  FSMC_SEARCH_STATS(CHECK_ROW)
+#undef CHECK_ROW
 }

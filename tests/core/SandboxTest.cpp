@@ -1,16 +1,16 @@
 //===- tests/core/SandboxTest.cpp -----------------------------------------===//
 //
-// Process-isolation contract (docs/ROBUSTNESS.md): --isolate=batch runs
-// the same search as the in-process explorer on healthy workloads (same
-// executions, transitions, verdict, coverage), and on faulty workloads
-// it harvests process death -- SIGSEGV, SIGABRT, a hard spin -- as
-// Verdict::Crash / Verdict::Hang incidents with replayable schedules
-// while the search of the remaining interleavings completes.
+// Process-isolation contract (docs/ROBUSTNESS.md): --isolate=batch -- the
+// fleet's isolated rung run on its own -- explores the same search as the
+// in-process explorer on healthy workloads (same executions, transitions,
+// verdict, coverage), and on faulty workloads it harvests process death
+// -- SIGSEGV, SIGABRT, a hard spin -- as Verdict::Crash / Verdict::Hang
+// incidents with replayable schedules while the search of the remaining
+// interleavings completes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Checkpoint.h"
-#include "core/Sandbox.h"
 #include "core/Schedule.h"
 #include "workloads/CrashFault.h"
 #include "workloads/DiningPhilosophers.h"
@@ -47,7 +47,7 @@ TEST(Sandbox, MatchesInProcessSearchOnHealthyWorkload) {
 
   CheckerOptions Iso = O;
   Iso.Isolate = IsolationMode::Batch;
-  Iso.SandboxBatchSize = 7; // Deliberately misaligned with the search size.
+  Iso.BatchSize = 7; // Deliberately misaligned with the search size.
   CheckResult Out = check(P, Iso);
   EXPECT_TRUE(Out.Stats.SearchExhausted);
   EXPECT_EQ(Out.Kind, In.Kind);
@@ -118,6 +118,23 @@ TEST(Sandbox, SegfaultIsHarvestedAndSearchCompletes) {
   for (const BugReport &B : R.Incidents) {
     EXPECT_EQ(B.Kind, Verdict::Crash);
     EXPECT_FALSE(B.Schedule.empty());
+  }
+}
+
+TEST(Sandbox, CrashFaultSearchIsPinned) {
+  // One bad execution costs one execution: every crashing window of the
+  // fault variants is harvested and the rest of the tree still runs.
+  for (auto Kind : {CrashFaultConfig::Fault::NullDeref,
+                    CrashFaultConfig::Fault::Abort}) {
+    CrashFaultConfig C;
+    C.Kind = Kind;
+    CheckResult R = check(makeCrashFaultProgram(C), isolated());
+    EXPECT_EQ(R.Kind, Verdict::Crash);
+    EXPECT_TRUE(R.Stats.SearchExhausted);
+    EXPECT_EQ(R.Stats.Executions, 1707u);
+    EXPECT_EQ(R.Stats.Transitions, 20484u);
+    EXPECT_EQ(R.Stats.Crashes, 48u);
+    EXPECT_EQ(R.Incidents.size(), 48u);
   }
 }
 

@@ -87,6 +87,19 @@ TEST(Schedule, RejectsMalformedInput) {
   EXPECT_FALSE(decodeSchedule("fsmc1:3/2", Out));     // Chosen >= num.
   EXPECT_FALSE(decodeSchedule("fsmc1:0/1", Out));     // Forced move.
   EXPECT_FALSE(decodeSchedule("fsmc1:0/", Out));      // No num.
+  // Every number must be the whole of its field and fit in int: no
+  // silent atoi-style truncation to a different schedule.
+  EXPECT_FALSE(decodeSchedule("fsmc1:abc/2", Out));   // Chosen not a number.
+  EXPECT_FALSE(decodeSchedule("fsmc1:0/2x", Out));    // Trailing junk.
+  EXPECT_FALSE(decodeSchedule("fsmc1:0x/2", Out));    // Junk after chosen.
+  EXPECT_FALSE(decodeSchedule("fsmc1: 0/2", Out));    // Leading blank.
+  EXPECT_FALSE(decodeSchedule("fsmc1:+0/2", Out));    // Signed.
+  EXPECT_FALSE(decodeSchedule("fsmc1:-1/2", Out));    // Negative.
+  EXPECT_FALSE(decodeSchedule("fsmc1:0/4294967298", Out)); // Overflows int.
+  EXPECT_FALSE(decodeSchedule("fsmc1:0/2;", Out));    // Empty record.
+  std::string Why;
+  EXPECT_FALSE(decodeSchedule("fsmc1:0/2;5/2", Out, &Why));
+  EXPECT_NE(Why.find("record 1"), std::string::npos) << Why;
 }
 
 TEST(Schedule, BugReportCarriesReplayableSchedule) {

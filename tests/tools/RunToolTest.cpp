@@ -250,6 +250,14 @@ TEST_F(RunTool, ReproDirRoundTripsThroughReplay) {
             1);
 }
 
+TEST_F(RunTool, MalformedReplayIsAUsageError) {
+  // A schedule that does not decode is the caller's mistake, not a
+  // workload bug: exit 2 before any run starts, as for an unreadable file.
+  EXPECT_EQ(run({"--program=peterson", "--replay=fsmc1:5/2", "--quiet"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--replay=fsmc1:abc/2", "--quiet"}), 2);
+  EXPECT_EQ(run({"--program=peterson", "--replay=fsmc1:0/2x", "--quiet"}), 2);
+}
+
 TEST_F(RunTool, CrashReproRoundTripsUnderIsolation) {
   std::string Repro = Dir + "/repros";
   ASSERT_EQ(run({"--program=crashfault-segv", "--isolate=batch",

@@ -106,6 +106,13 @@ struct WsqBugCase {
   MemoryModel Memory;
 };
 
+/// Prints the case by name. gtest's default byte dump embeds the Name
+/// pointer, which moves with address-space randomisation, so the listed
+/// (and ctest-discovered) test names would change from run to run.
+static void PrintTo(const WsqBugCase &Case, std::ostream *OS) {
+  *OS << Case.Name;
+}
+
 class WsqBugTest : public ::testing::TestWithParam<WsqBugCase> {};
 
 TEST_P(WsqBugTest, SeededBugIsFound) {

@@ -147,7 +147,7 @@ std::map<std::string, std::function<TestProgram()>> catalogue() {
   };
   // Fault-injection variants for --isolate=batch (docs/ROBUSTNESS.md).
   // Deliberately kept out of the workload registry: they kill the process
-  // that runs them, so only the sandbox can search them.
+  // that runs them, so only --isolate=batch or --fleet can search them.
   C["crashfault-segv"] = [] {
     CrashFaultConfig F;
     F.Kind = CrashFaultConfig::Fault::NullDeref;
@@ -232,10 +232,12 @@ int usage() {
             "processes so\n"
             "                   workload crashes/hangs are harvested, not "
             "fatal\n"
-            "  --batch-size=N   executions per forked worker (default 64)\n"
-            "  --hang-timeout=S sandbox watchdog: kill a silent child "
-            "after S\n"
-            "                   seconds (default 10)\n"
+            "  --batch-size=N   executions per forked batch child or "
+            "fleet work\n"
+            "                   unit (default 64; same as --fleet-batch)\n"
+            "  --hang-timeout=S watchdog: kill a silent child or fleet "
+            "worker\n"
+            "                   after S seconds (default 10)\n"
             "  --divergence-retries=N  retries before a mismatching "
             "prefix is\n"
             "                   discarded as a divergence (default 3)\n"
@@ -268,7 +270,7 @@ int usage() {
             "                   --random; the fsmc_fleet binary defaults "
             "this)\n"
             "  --fleet-batch=N  execution budget per leased work unit "
-            "(default 64)\n"
+            "(= --batch-size)\n"
             "  --fleet-quarantine=K    quarantine a unit after K "
             "consecutive\n"
             "                   fatal attempts as a replayable crash "
@@ -436,8 +438,9 @@ std::string formatSeconds(double S) {
 int explainOne(const TestProgram &Program, const CheckerOptions &Opts,
                const std::string &Schedule) {
   std::vector<ScheduleChoice> Choices;
-  if (!decodeSchedule(Schedule, Choices)) {
-    errs() << "malformed schedule string\n";
+  std::string Why;
+  if (!decodeSchedule(Schedule, Choices, &Why)) {
+    errs() << "malformed schedule: " << Why << "\n";
     return 2;
   }
   CheckerOptions Effective = Opts;
@@ -598,10 +601,13 @@ int main(int Argc, char **Argv) {
         errs() << "--fleet must be >= 1\n";
         return usage();
       }
-    } else if (parseFlag(Argv[I], "--fleet-batch", &V)) {
-      Opts.FleetBatchSize = std::atoi(V);
-      if (Opts.FleetBatchSize < 1) {
-        errs() << "--fleet-batch must be >= 1\n";
+    } else if (parseFlag(Argv[I], "--fleet-batch", &V) ||
+               parseFlag(Argv[I], "--batch-size", &V)) {
+      Opts.BatchSize = std::atoi(V);
+      if (Opts.BatchSize < 1) {
+        errs() << (std::strncmp(Argv[I], "--fleet", 7) == 0 ? "--fleet-batch"
+                                                            : "--batch-size")
+               << " must be >= 1\n";
         return usage();
       }
     } else if (parseFlag(Argv[I], "--fleet-quarantine", &V)) {
@@ -646,12 +652,6 @@ int main(int Argc, char **Argv) {
         Opts.Isolate = IsolationMode::Batch;
       else {
         errs() << "--isolate must be 'off' or 'batch'\n";
-        return usage();
-      }
-    } else if (parseFlag(Argv[I], "--batch-size", &V)) {
-      Opts.SandboxBatchSize = std::atoi(V);
-      if (Opts.SandboxBatchSize < 1) {
-        errs() << "--batch-size must be >= 1\n";
         return usage();
       }
     } else if (parseFlag(Argv[I], "--hang-timeout", &V)) {
@@ -941,6 +941,13 @@ int main(int Argc, char **Argv) {
     std::string Schedule;
     if (!loadReplayOperand(Replay, Schedule)) {
       errs() << "cannot read replay file " << Replay << "\n";
+      return 2;
+    }
+    // A malformed operand is a usage error, not a workload bug.
+    std::vector<ScheduleChoice> Choices;
+    std::string Why;
+    if (!decodeSchedule(Schedule, Choices, &Why)) {
+      errs() << "malformed --replay schedule: " << Why << "\n";
       return 2;
     }
     R = replaySchedule(Program, Opts, Schedule);
