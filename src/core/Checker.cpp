@@ -6,11 +6,16 @@
 #include "core/Explorer.h"
 #include "core/Fleet.h"
 #include "core/ParallelExplorer.h"
+#include "core/ResultAccumulator.h"
 #include "obs/Counters.h"
+#include "obs/Observer.h"
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <iterator>
+#include <optional>
+#include <utility>
 
 using namespace fsmc;
 
@@ -32,11 +37,95 @@ template <stats::Merge M, typename T> void mergeField(T &Into, const T &From) {
     Into = std::max(Into, From);
 }
 
-/// Resolves the Counter column of FSMC_SEARCH_STATS.
-namespace fold {
-using enum obs::Counter;
-constexpr obs::Counter None = NumCounters;
-} // namespace fold
+/// The serial engine: one Explorer runs the frontier's units in order.
+/// Its results reach the accumulator only at unit end, at checkpoint
+/// boundaries and on interrupt -- never per execution.
+CheckResult runSerial(const TestProgram &Program, const CheckerOptions &Opts,
+                      const CheckpointState &Frontier) {
+  const auto Start = std::chrono::steady_clock::now();
+  auto Elapsed = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         Start)
+        .count();
+  };
+  // No counter shard: the explorer counts live.
+  ResultAccumulator Acc(Opts, Frontier);
+  Explorer E(Program, Opts);
+  E.preloadSeenStates(Frontier.States);
+  if (Frontier.Rng)
+    E.setRngState(Frontier.Rng);
+  // Units are read in place (a replayed livelock schedule is as long as
+  // the execution bound); a stopped unit's rest runs before the next one.
+  const std::vector<CheckpointUnit> &Todo = Frontier.Frontier;
+  size_t Next = 0;
+  std::optional<CheckpointUnit> Rest;
+  auto checkpoint = [&] {
+    std::vector<CheckpointUnit> Units;
+    if (Rest)
+      Units.push_back(*Rest);
+    Units.insert(Units.end(), Todo.begin() + long(Next), Todo.end());
+    return Acc.checkpoint(std::move(Units), E.rngState());
+  };
+  const uint64_t Every = Opts.CheckpointSink ? Opts.CheckpointEvery : 0;
+  bool CapHit = false, TimedOut = false, Interrupted = false;
+  std::shared_ptr<CheckpointState> Resume;
+  while (Rest || Next < Todo.size()) {
+    std::optional<CheckpointUnit> Resumed = std::exchange(Rest, std::nullopt);
+    // Budgets count across resumed run parts: stop at the next checkpoint
+    // boundary or at the cap, whichever comes first.
+    const uint64_t Done = Acc.Stats.Executions;
+    uint64_t Budget = Every ? (Done / Every + 1) * Every - Done : 0;
+    if (Opts.MaxExecutions) {
+      uint64_t Left = Opts.MaxExecutions > Done ? Opts.MaxExecutions - Done : 1;
+      Budget = Budget ? std::min(Budget, Left) : Left;
+    }
+    double Seconds = 0;
+    if (Opts.TimeBudgetSeconds > 0)
+      Seconds = std::max(Opts.TimeBudgetSeconds - Elapsed(), 1e-9);
+
+    Explorer::UnitEnd End =
+        E.runUnit(Resumed ? *Resumed : Todo[Next++], Budget, Seconds);
+    Attempt A = E.take();
+    Acc.commit(A);
+    if (!A.Rem.empty())
+      Rest = std::move(A.Rem.front()); // A unit leaves at most one rest.
+
+    if (End == Explorer::UnitEnd::Exhausted)
+      continue;
+    if (End == Explorer::UnitEnd::Budget) {
+      // The cap or a checkpoint boundary, reached before the explorer
+      // looked at the clock or the interrupt flag. The cap wins.
+      CapHit = Opts.MaxExecutions && Acc.Stats.Executions >= Opts.MaxExecutions;
+      if (CapHit)
+        break;
+      if (Opts.TimeBudgetSeconds > 0 && Elapsed() > Opts.TimeBudgetSeconds)
+        End = Explorer::UnitEnd::TimedOut;
+      else if (Opts.InterruptFlag &&
+               Opts.InterruptFlag->load(std::memory_order_relaxed))
+        End = Explorer::UnitEnd::Interrupted;
+    }
+    const bool More = Rest || Next < Todo.size();
+    if (End == Explorer::UnitEnd::Interrupted) {
+      // Stopping exactly at exhaustion is no interruption.
+      if ((Interrupted = More))
+        Resume = checkpoint();
+      break;
+    }
+    if (End != Explorer::UnitEnd::Budget) {
+      TimedOut = End == Explorer::UnitEnd::TimedOut;
+      break; // A bug under StopOnFirstBug, or the time budget.
+    }
+    if (!More)
+      break; // The boundary coincided with exhaustion.
+    ++Acc.Stats.Checkpoints;
+    if (Opts.Obs)
+      Opts.Obs->shard(0).add(obs::Counter::Checkpoints);
+    Opts.CheckpointSink(*checkpoint());
+  }
+  CheckResult R = Acc.finish(CapHit, TimedOut, Interrupted, Elapsed());
+  R.Resume = std::move(Resume);
+  return R;
+}
 
 } // namespace
 
@@ -45,37 +134,6 @@ void fsmc::mergeSearchStats(SearchStats &Into, const SearchStats &From) {
   mergeField<stats::M>(Into.Field, From.Field);
   FSMC_SEARCH_STATS(FSMC_MERGE)
 #undef FSMC_MERGE
-}
-
-void fsmc::foldStatsDeltaIntoCounters(obs::WorkerCounters *Ctr,
-                                      const SearchStats &Prev,
-                                      const SearchStats &Now) {
-  if (!Ctr)
-    return;
-#define FSMC_FOLD(Field, M, Key, Json, Ckpt, C)                                \
-  if (fold::C != fold::None && Now.Field > Prev.Field)                         \
-    Ctr->add(fold::C, uint64_t(Now.Field - Prev.Field));
-  FSMC_SEARCH_STATS(FSMC_FOLD)
-#undef FSMC_FOLD
-  Ctr->maxGauge(obs::Gauge::MaxDepth, Now.MaxDepth);
-}
-
-void fsmc::bumpBugClassCounter(obs::WorkerCounters *Ctr, Verdict V) {
-  if (!Ctr)
-    return;
-  switch (V) {
-  case Verdict::Deadlock:
-    Ctr->add(obs::Counter::Deadlocks);
-    break;
-  case Verdict::Livelock:
-    Ctr->add(obs::Counter::Livelocks);
-    break;
-  case Verdict::GoodSamaritanViolation:
-    Ctr->add(obs::Counter::GoodSamaritanViolations);
-    break;
-  default:
-    break;
-  }
 }
 
 void fsmc::finalizeRaces(CheckResult &R, const CheckerOptions &Opts) {
@@ -127,15 +185,7 @@ CheckResult fsmc::runFrontier(const TestProgram &Program,
   CheckResult R;
   if (Frontier.Frontier.empty()) {
     // The frontier was taken exactly at exhaustion; nothing to run.
-    R.Stats = Frontier.Stats;
-    R.Stats.SearchExhausted = true;
-    R.Stats.DistinctStates = Frontier.States.size();
-    if (Frontier.Bug) {
-      R.Bug = Frontier.Bug;
-      R.Kind = Frontier.Bug->Kind;
-    }
-    if (Effective.ExportStateSignatures)
-      R.StateSignatures = Frontier.States;
+    R = runSerial(Program, Effective, Frontier);
   } else if ((Effective.Isolate == IsolationMode::Batch &&
               !Effective.StatefulPruning) ||
              (Effective.FleetWorkers >= 1 && Shardable)) {
@@ -143,9 +193,7 @@ CheckResult fsmc::runFrontier(const TestProgram &Program,
   } else if (Effective.Jobs > 1 && Shardable) {
     R = ParallelExplorer(Program, Effective, Frontier).run();
   } else {
-    Explorer E(Program, Effective);
-    E.preloadFrontier(Frontier);
-    R = E.run();
+    R = runSerial(Program, Effective, Frontier);
   }
   finalizeRaces(R, Effective);
   return R;

@@ -174,7 +174,7 @@ struct SearchStats {
 };
 
 /// The SearchStats schema: one row per field, driving mergeSearchStats,
-/// foldStatsDeltaIntoCounters, the stats-json keys (obs/StatsJson.cpp)
+/// the accumulator's counter fold, the stats-json keys (obs/StatsJson.cpp)
 /// and the checkpoint `stat` lines (core/Checkpoint.cpp). A new stat is
 /// one field plus one row; StatsSchemaTest fails for a field without one.
 ///
@@ -308,14 +308,6 @@ struct CheckerOptions {
   /// the same (DFS-smallest) counterexample; random-walk search and
   /// StatefulPruning ignore this and run serially.
   int Jobs = 1;
-
-  /// Recycle per-execution runtime state (thread records, pooled fiber
-  /// stacks, object-name storage) across the executions of a search
-  /// instead of destroying and re-creating it -- the hot-path fast path
-  /// (docs/PERFORMANCE.md). Observationally invisible: traces, stats and
-  /// the explored execution multiset are byte-identical either way; off
-  /// exists for A/B measurement and as an escape hatch.
-  bool ReuseExecutionState = true;
 
   /// Memory model to explore under (--memory=sc|tso|pso; docs/MEMORY.md).
   /// Sc is the historical sequentially-consistent search, byte-identical
@@ -466,20 +458,6 @@ CheckResult check(const TestProgram &Program, const CheckerOptions &Opts);
 /// one fully frozen unit capped at one execution.
 CheckResult runFrontier(const TestProgram &Program, const CheckerOptions &Opts,
                         const CheckpointState &Frontier);
-
-/// Folds the delta between two cumulative SearchStats snapshots into a
-/// live counter shard, so --stats-json counters and the progress line
-/// keep working when executions happen in another process. Null \p Ctr is
-/// a no-op. RacesFound has no counter row: child processes dedup races
-/// only within themselves, so the result accumulator bumps that counter
-/// per globally-novel race at commit time.
-void foldStatsDeltaIntoCounters(obs::WorkerCounters *Ctr,
-                                const SearchStats &Prev,
-                                const SearchStats &Now);
-
-/// Bumps the per-verdict-class bug counter (deadlocks, livelocks, good
-/// samaritan violations) for a bug harvested from a child process.
-void bumpBugClassCounter(obs::WorkerCounters *Ctr, Verdict V);
 
 /// Top-level race promotion, applied by runFrontier(): when
 /// race detection is on and \p R carries DataRace incidents, reconciles

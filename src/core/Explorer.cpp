@@ -2,7 +2,6 @@
 
 #include "core/Explorer.h"
 
-#include "core/Checkpoint.h"
 #include "core/Dependence.h"
 #include "core/FairScheduler.h"
 #include "core/LivenessMonitor.h"
@@ -11,12 +10,13 @@
 #include "obs/Observer.h"
 #include "obs/SearchProfile.h"
 #include "race/RaceDetector.h"
-#include "runtime/StackPool.h"
 #include "support/Hashing.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <utility>
 
 using namespace fsmc;
 
@@ -27,18 +27,27 @@ Explorer::Explorer(const TestProgram &Program, const CheckerOptions &Opts)
     Obs = this->Opts.Obs;
     Ctr = &Obs->shard(0);
   }
-  if (this->Opts.ProfileSearch) {
-    Result.Profile = std::make_shared<obs::SearchProfile>();
-    Prof = Result.Profile.get();
+  startAttempt();
+}
+
+void Explorer::startAttempt() {
+  // Rebuilt in place rather than move-assigned: GCC's
+  // -Wmaybe-uninitialized misfires on assigning the disengaged Bug.
+  std::destroy_at(&Pending);
+  std::construct_at(&Pending);
+  EstMassSum = EstMassComp = 0;
+  Prof = nullptr;
+  if (Opts.ProfileSearch) {
+    Pending.Profile = std::make_shared<obs::SearchProfile>();
+    Prof = Pending.Profile.get();
   }
 }
 
-void Explorer::setObsWorker(unsigned Worker, uint64_t StartClock) {
+void Explorer::setObsWorker(unsigned Worker) {
   if (!Obs)
     return;
   ObsWorker = Worker;
   Ctr = &Obs->shard(Worker);
-  ObsClock = StartClock;
 }
 
 void Explorer::emitEvent(obs::ObsEvent E) {
@@ -49,11 +58,10 @@ void Explorer::emitEvent(obs::ObsEvent E) {
 Explorer::~Explorer() = default;
 
 bool Explorer::timeExceeded() const {
-  if (Opts.TimeBudgetSeconds <= 0)
+  if (TimeBudget <= 0)
     return false;
   auto Elapsed = std::chrono::steady_clock::now() - StartTime;
-  return std::chrono::duration<double>(Elapsed).count() >
-         Opts.TimeBudgetSeconds;
+  return std::chrono::duration<double>(Elapsed).count() > TimeBudget;
 }
 
 Tid Explorer::nthMember(ThreadSet S, int Idx) {
@@ -124,59 +132,25 @@ bool Explorer::advanceStack() {
     }
     Stack.pop_back();
   }
-  return loadNextUnit();
+  return false;
 }
 
-bool Explorer::loadNextUnit() {
-  if (!Units || NextUnit == Units->size())
-    return false;
-  const CheckpointUnit &U = (*Units)[NextUnit++];
-  Stack.clear();
-  for (const ScheduleChoice &C : U.Prefix)
-    Stack.push_back({C.Chosen, C.Num, C.Backtrack, /*Donated=*/false,
-                     C.SleepMask, C.FlushMask});
-  FrozenLen = U.FrozenLen;
-  return true;
+Explorer::UnitEnd Explorer::stopWithRemainder(UnitEnd End) {
+  if (advanceStack())
+    Pending.Rem.push_back({currentStackSnapshot(), FrozenLen});
+  return End;
 }
 
-void Explorer::preloadSchedule(const std::vector<ScheduleChoice> &Choices,
-                               bool Frozen) {
-  assert(Stack.empty() && "preloadSchedule must precede run()");
-  for (const ScheduleChoice &C : Choices)
-    Stack.push_back({C.Chosen, C.Num, C.Backtrack, /*Donated=*/false,
-                     C.SleepMask, C.FlushMask});
-  if (Frozen)
-    FrozenLen = Stack.size();
+Attempt Explorer::take() {
+  ExecsTaken += Pending.Stats.Executions;
+  Attempt A = std::move(Pending);
+  A.Rng = Rng.state();
+  startAttempt();
+  return A;
 }
 
-void Explorer::preloadScheduleFrozenPrefix(
-    const std::vector<ScheduleChoice> &Choices, size_t FrozenPrefixLen) {
-  assert(FrozenPrefixLen <= Choices.size() && "frozen prefix too long");
-  preloadSchedule(Choices, /*Frozen=*/false);
-  FrozenLen = FrozenPrefixLen;
-}
-
-void Explorer::preloadFrontier(const CheckpointState &From) {
-  assert(Stack.empty() && Result.Stats.Executions == 0 &&
-         "preloadFrontier must precede run()");
-  Result.Stats = From.Stats;
-  Result.Stats.TimedOut = false;
-  Result.Stats.ExecutionCapHit = false;
-  Result.Stats.SearchExhausted = false;
-  Result.Stats.Interrupted = false;
-  Result.Stats.Seconds = 0;
-  EstMassSum = From.Stats.EstimateMass;
-  EstMassComp = 0;
-  preloadSeenStates(From.States);
-  if (From.Bug) {
-    Result.Bug = *From.Bug;
-    Result.Kind = From.Bug->Kind;
-  }
-  if (From.Rng)
-    Rng.setState(From.Rng);
-  Units = &From.Frontier;
-  NextUnit = 0;
-  loadNextUnit();
+std::optional<BugReport> Explorer::takeBug() {
+  return std::exchange(Pending.Bug, std::nullopt);
 }
 
 void Explorer::preloadSeenStates(const std::vector<uint64_t> &States) {
@@ -191,42 +165,6 @@ std::vector<ScheduleChoice> Explorer::currentStackSnapshot() const {
   for (const ChoiceRec &R : Stack)
     Out.push_back({R.Chosen, R.Num, R.Backtrack, R.SleepMask, R.FlushMask});
   return Out;
-}
-
-std::optional<std::vector<ScheduleChoice>> Explorer::nextFrontier() {
-  if (!advanceStack())
-    return std::nullopt;
-  return currentStackSnapshot();
-}
-
-void Explorer::setChoiceStream(
-    std::function<void(int Chosen, int Num, bool Backtrack,
-                       uint64_t SleepMask, uint64_t FlushMask)>
-        CB) {
-  StreamCb = std::move(CB);
-}
-
-std::shared_ptr<CheckpointState> Explorer::makeCheckpointState() const {
-  auto CK = std::make_shared<CheckpointState>();
-  CK->Stats = Result.Stats;
-  CK->Stats.Interrupted = false; // Flags describe a run, not a checkpoint.
-  CK->Stats.DistinctStates = SeenStates.size();
-  CK->Rng = Rng.state();
-  CheckpointUnit U;
-  U.Prefix = currentStackSnapshot();
-  U.FrozenLen = FrozenLen;
-  CK->Frontier.push_back(std::move(U));
-  if (Units)
-    CK->Frontier.insert(CK->Frontier.end(), Units->begin() + long(NextUnit),
-                        Units->end());
-  CK->States.assign(SeenStates.begin(), SeenStates.end());
-  std::sort(CK->States.begin(), CK->States.end());
-  CK->Bug = Result.Bug; // Only set under StopOnFirstBug=false.
-  return CK;
-}
-
-void Explorer::setExecutionHook(std::function<bool(Explorer &)> H) {
-  Hook = std::move(H);
 }
 
 size_t Explorer::splitWork(std::vector<std::vector<ScheduleChoice>> &Out,
@@ -281,7 +219,7 @@ std::vector<int> Explorer::consumedPathKey() const {
 
 void Explorer::reportBug(Verdict V, std::string Msg, const Runtime &RT,
                          uint64_t Step) {
-  ++Result.Stats.BugsFound;
+  ++Pending.Stats.BugsFound;
   if (Ctr) {
     Ctr->add(obs::Counter::BugsFound);
     if (V == Verdict::Deadlock)
@@ -295,22 +233,21 @@ void Explorer::reportBug(Verdict V, std::string Msg, const Runtime &RT,
       E.Kind = obs::EventKind::BugFound;
       E.Thread = RT.failureTid();
       E.Ts = ObsClock;
-      E.ArgA = Result.Stats.Executions;
+      E.ArgA = ExecsTaken + Pending.Stats.Executions;
       E.ArgB = Step;
       E.Detail = verdictName(V);
       emitEvent(E);
     }
   }
-  if (Result.Bug)
+  if (Pending.Bug)
     return; // Keep the first counterexample.
   BugReport B;
   B.Kind = V;
   B.Message = std::move(Msg);
   B.TraceText = CurTrace.render(RT, 120);
   // Stats.Executions counts completed executions, so during the buggy one
-  // it equals the 0-based index (and stays correct across resumed run
-  // parts, where a base count is preloaded).
-  B.AtExecution = Result.Stats.Executions;
+  // it equals the attempt-local 0-based index; commit makes it global.
+  B.AtExecution = Pending.Stats.Executions;
   B.AtStep = Step;
   // Serialize the consumed choice prefix so the schedule can be replayed.
   SchedScratch.clear();
@@ -319,25 +256,24 @@ void Explorer::reportBug(Verdict V, std::string Msg, const Runtime &RT,
                             Stack[I].Backtrack, Stack[I].SleepMask,
                             Stack[I].FlushMask});
   B.Schedule = encodeSchedule(SchedScratch);
-  Result.Bug = std::move(B);
-  Result.Kind = V;
+  Pending.Bug = std::move(B);
 }
 
 void Explorer::harvestRaces(const RaceDetector &D, const Runtime &RT) {
-  Result.Stats.RacesChecked += D.checks();
+  Pending.Stats.RacesChecked += D.checks();
   if (Ctr && D.checks())
     Ctr->add(obs::Counter::RacesChecked, D.checks());
   for (const RaceReport &R : D.races()) {
     if (!RaceKeys.insert(R.Message).second)
       continue; // The same race, surfaced by another interleaving.
-    ++Result.Stats.RacesFound;
+    ++Pending.Stats.RacesFound;
     if (Ctr)
       Ctr->add(obs::Counter::RacesFound);
     BugReport B;
     B.Kind = Verdict::DataRace;
     B.Message = R.Message;
     B.TraceText = R.Detail + CurTrace.render(RT, 120);
-    B.AtExecution = Result.Stats.Executions;
+    B.AtExecution = Pending.Stats.Executions;
     B.AtStep = CurSteps;
     SchedScratch.clear();
     for (size_t I = 0; I < Cursor && I < Stack.size(); ++I)
@@ -345,7 +281,7 @@ void Explorer::harvestRaces(const RaceDetector &D, const Runtime &RT) {
                               Stack[I].Backtrack, Stack[I].SleepMask,
                               Stack[I].FlushMask});
     B.Schedule = encodeSchedule(SchedScratch);
-    Result.Incidents.push_back(std::move(B));
+    Pending.Incidents.push_back(std::move(B));
   }
 }
 
@@ -372,7 +308,7 @@ void Explorer::creditEstimateMass() {
   else
     EstMassComp += (P - T) + EstMassSum;
   EstMassSum = T;
-  Result.Stats.EstimateMass = EstMassSum + EstMassComp;
+  Pending.Stats.EstimateMass = EstMassSum + EstMassComp;
   if (Ctr)
     Ctr->addEstimateMass(P);
 }
@@ -426,23 +362,15 @@ Explorer::ExecEnd Explorer::runOneExecution() {
     RaceD.emplace();
     RTOpts.Race = &*RaceD;
   }
-  // The execution's world: recycled from the previous execution when
-  // ReuseExecutionState is on (reset() rewinds it to a logically fresh
-  // state, keeping thread records and pooled fiber stacks), else built
-  // and torn down per execution -- the measured-baseline slow path.
-  std::optional<Runtime> LocalRT;
-  if (Opts.ReuseExecutionState) {
-    if (!OwnPool && !ExternalPool)
-      OwnPool = std::make_unique<StackPool>();
-    RTOpts.Pool = ExternalPool ? ExternalPool : OwnPool.get();
-    if (PersistentRT)
-      PersistentRT->reset(RTOpts);
-    else
-      PersistentRT = std::make_unique<Runtime>(*this, RTOpts);
-  } else {
-    LocalRT.emplace(*this, RTOpts);
-  }
-  Runtime &RT = LocalRT ? *LocalRT : *PersistentRT;
+  // The execution's world, recycled from the previous execution: reset()
+  // rewinds it to a logically fresh state, keeping thread records and
+  // pooled fiber stacks.
+  RTOpts.Pool = &Pool;
+  if (PersistentRT)
+    PersistentRT->reset(RTOpts);
+  else
+    PersistentRT = std::make_unique<Runtime>(*this, RTOpts);
+  Runtime &RT = *PersistentRT;
   FairScheduler FS(Opts.YieldK);
   LivenessMonitor Monitor(Opts.GoodSamaritanBound);
   Monitor.beginExecution();
@@ -495,22 +423,22 @@ Explorer::ExecEnd Explorer::runOneExecution() {
       if (SnapNs)
         Ctr->addPhaseNs(obs::Phase::Snapshot, SnapNs);
     }
-    if (RT.threadCount() > Result.Stats.MaxThreads)
-      Result.Stats.MaxThreads = RT.threadCount();
-    if (RT.syncOpCount() > Result.Stats.MaxSyncOps)
-      Result.Stats.MaxSyncOps = RT.syncOpCount();
-    if (CurSteps > Result.Stats.MaxDepth)
-      Result.Stats.MaxDepth = CurSteps;
+    if (RT.threadCount() > Pending.Stats.MaxThreads)
+      Pending.Stats.MaxThreads = RT.threadCount();
+    if (RT.syncOpCount() > Pending.Stats.MaxSyncOps)
+      Pending.Stats.MaxSyncOps = RT.syncOpCount();
+    if (CurSteps > Pending.Stats.MaxDepth)
+      Pending.Stats.MaxDepth = CurSteps;
     // Unconditional like FairEdgeAdditions: diverged attempts did enqueue
     // and flush, and the totals describe work done, not executions
     // counted. Both stay zero under --memory=sc.
-    Result.Stats.BufferedStores += RT.bufferedStoreCount();
-    Result.Stats.StoreFlushes += RT.storeFlushCount();
-    Result.Stats.FairEdgeAdditions += FS.edgeAdditions();
+    Pending.Stats.BufferedStores += RT.bufferedStoreCount();
+    Pending.Stats.StoreFlushes += RT.storeFlushCount();
+    Pending.Stats.FairEdgeAdditions += FS.edgeAdditions();
     if (Ctr) {
       Ctr->add(obs::Counter::FairEdgeAdds, FS.edgeAdditions());
       Ctr->add(obs::Counter::FairEdgeRemovals, FS.edgeRemovals());
-      Ctr->maxGauge(obs::Gauge::MaxDepth, Result.Stats.MaxDepth);
+      Ctr->maxGauge(obs::Gauge::MaxDepth, Pending.Stats.MaxDepth);
       if (Obs->sink()) {
         obs::ObsEvent E;
         E.Kind = obs::EventKind::ExecutionEnd;
@@ -600,7 +528,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
     if (Opts.Por) {
       ThreadSet Sleeping = Cands.Set & Sleep;
       if (!Sleeping.empty()) {
-        Result.Stats.PorSleepHits += Sleeping.size();
+        Pending.Stats.PorSleepHits += Sleeping.size();
         if (Ctr)
           Ctr->add(obs::Counter::PorSleepHits, Sleeping.size());
         if (Prof)
@@ -620,7 +548,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
             // already-explored sibling branch covers.
             Cands.Set = Sleeping;
             Sleep -= Sleeping;
-            Result.Stats.PorFairWakes += Sleeping.size();
+            Pending.Stats.PorFairWakes += Sleeping.size();
             if (Ctr)
               Ctr->add(obs::Counter::PorFairWakes, Sleeping.size());
           } else {
@@ -630,7 +558,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
             // here, at the prune site, so the subtree the reduction cuts
             // can never drop out of the weighted-backtrack sum.
             finishStats("por_pruned");
-            ++Result.Stats.PorBranchesPruned;
+            ++Pending.Stats.PorBranchesPruned;
             if (Ctr)
               Ctr->add(obs::Counter::PorBranchesPruned);
             creditEstimateMass();
@@ -674,7 +602,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
     // excluded it (PrevAllowed false) or it sits at a voluntary yield.
     if (T != Prev && C.PrevEnabled && C.PrevAllowed && !C.PrevAtYield) {
       ++Preemptions;
-      ++Result.Stats.Preemptions;
+      ++Pending.Stats.Preemptions;
       if (Ctr)
         Ctr->add(obs::Counter::Preemptions);
     }
@@ -747,7 +675,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
       St = RT.step(T);
     }
     ++CurSteps;
-    ++Result.Stats.Transitions;
+    ++Pending.Stats.Transitions;
     if (Ctr) {
       ++ObsClock;
       Ctr->add(obs::Counter::Transitions);
@@ -859,10 +787,9 @@ Explorer::ExecEnd Explorer::runOneExecution() {
         SnapT0 = std::chrono::steady_clock::now();
       uint64_t Sig = RT.stateSignature();
       if (SeenStates.insert(Sig)) {
-        if (LogStates)
-          StateLog.push_back(Sig);
+        Pending.States.push_back(Sig);
       } else {
-        ++Result.Stats.StateHits;
+        ++Pending.Stats.StateHits;
       }
       if (PhaseT)
         SnapNs += uint64_t(std::chrono::duration_cast<
@@ -888,7 +815,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
         }
         if (!PruneKeys.insert(Key)) {
           finishStats("pruned");
-          ++Result.Stats.PrunedExecutions;
+          ++Pending.Stats.PrunedExecutions;
           if (Ctr)
             Ctr->add(obs::Counter::StatefulPrunes);
           creditEstimateMass(); // At the prune site; see the POR prune.
@@ -899,7 +826,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
 
     if (CutAtDepth && CurSteps >= Opts.DepthBound) {
       finishStats("abandoned");
-      ++Result.Stats.NonterminatingExecutions;
+      ++Pending.Stats.NonterminatingExecutions;
       if (Ctr)
         Ctr->add(obs::Counter::NonterminatingExecutions);
       return ExecEnd::Abandoned;
@@ -916,7 +843,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
           obs::ObsEvent E;
           E.Kind = obs::EventKind::Divergence;
           E.Ts = ObsClock;
-          E.ArgA = Result.Stats.Executions;
+          E.ArgA = ExecsTaken + Pending.Stats.Executions;
           E.ArgB = CurSteps;
           E.Detail = Div.IsGoodSamaritan ? "good_samaritan" : "livelock";
           emitEvent(E);
@@ -927,7 +854,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
         return ExecEnd::Bug;
       }
       finishStats("abandoned");
-      ++Result.Stats.NonterminatingExecutions;
+      ++Pending.Stats.NonterminatingExecutions;
       if (Ctr)
         Ctr->add(obs::Counter::NonterminatingExecutions);
       return ExecEnd::Abandoned;
@@ -941,7 +868,7 @@ Explorer::ExecEnd Explorer::runOneExecution() {
       }
       if (timeExceeded()) {
         finishStats("abandoned");
-        Result.Stats.TimedOut = true;
+        Pending.TimedOut = true;
         return ExecEnd::Abandoned;
       }
     }
@@ -950,19 +877,27 @@ Explorer::ExecEnd Explorer::runOneExecution() {
   }
 }
 
-CheckResult Explorer::run() {
+Explorer::UnitEnd Explorer::runUnit(const CheckpointUnit &U, uint64_t Budget,
+                                   double Seconds) {
+  Stack.clear();
+  for (const ScheduleChoice &C : U.Prefix)
+    Stack.push_back({C.Chosen, C.Num, C.Backtrack, /*Donated=*/false,
+                     C.SleepMask, C.FlushMask});
+  FrozenLen = U.FrozenLen;
+  assert(FrozenLen <= Stack.size() && "frozen prefix too long");
   StartTime = std::chrono::steady_clock::now();
+  TimeBudget = Seconds;
+  uint64_t Done = 0;
   int RetriesLeft = Opts.DivergenceRetries;
-  for (CurExecution = 0;; ++CurExecution) {
+  for (;;) {
     ExecEnd End = runOneExecution();
 
     if (End == ExecEnd::Interrupted) {
       // Mid-execution interrupt: the attempt does not count. Drop its
-      // fresh pushes so the resume frontier re-runs it from the top.
+      // fresh pushes so the remainder re-runs it from the top.
       Stack.resize(ReplayLen);
-      Result.Stats.Interrupted = true;
-      Result.Resume = makeCheckpointState();
-      break;
+      Pending.Rem.push_back({currentStackSnapshot(), FrozenLen});
+      return UnitEnd::Interrupted;
     }
 
     if (End == ExecEnd::Diverged) {
@@ -972,29 +907,28 @@ CheckResult Explorer::run() {
       ReplayMismatch = false;
       if (RetriesLeft > 0) {
         --RetriesLeft;
-        ++Result.Stats.DivergenceRetries;
+        ++Pending.Stats.DivergenceRetries;
         if (Ctr)
           Ctr->add(obs::Counter::DivergenceRetries);
         continue;
       }
       RetriesLeft = Opts.DivergenceRetries;
-      ++Result.Stats.Divergences;
+      ++Pending.Stats.Divergences;
       if (Ctr)
         Ctr->add(obs::Counter::Divergences);
       if (MismatchIdx < Stack.size())
         Stack.resize(MismatchIdx);
       if (timeExceeded()) {
-        Result.Stats.TimedOut = true;
-        break;
+        Pending.TimedOut = true;
+        return UnitEnd::TimedOut;
       }
-      if (!(Stack.size() > FrozenLen ? advanceStack() : loadNextUnit())) {
-        Result.Stats.SearchExhausted = true;
-        break;
-      }
+      if (Stack.size() <= FrozenLen || !advanceStack())
+        return UnitEnd::Exhausted;
       continue;
     }
 
-    ++Result.Stats.Executions;
+    ++Pending.Stats.Executions;
+    ++Done;
     RetriesLeft = Opts.DivergenceRetries;
     if (Ctr)
       Ctr->add(obs::Counter::Executions);
@@ -1010,57 +944,26 @@ CheckResult Explorer::run() {
     // The hook runs on every execution (it is also how the parallel
     // driver counts executions against the shared budget); its stop
     // request is honored after the local stop conditions so a bug or
-    // local budget still reports with the usual flags.
+    // budget still reports as such.
     bool HookStop = Hook && !Hook(*this);
     if (End == ExecEnd::Bug && Opts.StopOnFirstBug)
-      break;
-    if (Result.Stats.TimedOut)
-      break;
-    if (Opts.MaxExecutions && Result.Stats.Executions >= Opts.MaxExecutions) {
-      Result.Stats.ExecutionCapHit = true;
-      break;
-    }
+      return UnitEnd::Bug;
+    if (Pending.TimedOut)
+      return UnitEnd::TimedOut;
+    if (Budget && Done >= Budget)
+      return stopWithRemainder(UnitEnd::Budget);
     if (timeExceeded()) {
-      Result.Stats.TimedOut = true;
-      break;
+      Pending.TimedOut = true;
+      return UnitEnd::TimedOut;
     }
     if (HookStop)
-      break;
+      return UnitEnd::Stopped;
+    // Clean boundary: advance past the finished execution first so the
+    // remainder holds exactly the unexplored rest.
     if (Opts.InterruptFlag &&
-        Opts.InterruptFlag->load(std::memory_order_relaxed)) {
-      // Clean boundary: advance past the finished execution first so the
-      // resume frontier holds exactly the unexplored remainder.
-      if (advanceStack()) {
-        Result.Stats.Interrupted = true;
-        Result.Resume = makeCheckpointState();
-      } else {
-        Result.Stats.SearchExhausted = true;
-      }
-      break;
-    }
-    if (!advanceStack()) {
-      Result.Stats.SearchExhausted = true;
-      break;
-    }
-    if (Opts.CheckpointEvery && Opts.CheckpointSink &&
-        Result.Stats.Executions % Opts.CheckpointEvery == 0) {
-      ++Result.Stats.Checkpoints;
-      if (Ctr)
-        Ctr->add(obs::Counter::Checkpoints);
-      Opts.CheckpointSink(*makeCheckpointState());
-    }
+        Opts.InterruptFlag->load(std::memory_order_relaxed))
+      return stopWithRemainder(UnitEnd::Interrupted);
+    if (!advanceStack())
+      return UnitEnd::Exhausted;
   }
-  if (Result.Kind == Verdict::Pass && Result.Stats.Divergences > 0 &&
-      Result.Stats.Executions == 0)
-    // Nothing ever replayed: the whole request (typically a single
-    // --replay) diverged. Not a workload bug -- foundBug() is false.
-    Result.Kind = Verdict::Divergence;
-  Result.Stats.DistinctStates = SeenStates.size();
-  if (Opts.ExportStateSignatures) {
-    Result.StateSignatures.assign(SeenStates.begin(), SeenStates.end());
-    std::sort(Result.StateSignatures.begin(), Result.StateSignatures.end());
-  }
-  auto Elapsed = std::chrono::steady_clock::now() - StartTime;
-  Result.Stats.Seconds = std::chrono::duration<double>(Elapsed).count();
-  return Result;
 }

@@ -29,16 +29,16 @@
 #define FSMC_CORE_EXPLORER_H
 
 #include "core/Checker.h"
-#include "core/Checkpoint.h"
+#include "core/ResultAccumulator.h"
 #include "core/SearchStrategy.h"
 #include "core/Trace.h"
 #include "runtime/Runtime.h"
+#include "runtime/StackPool.h"
 #include "support/U64Set.h"
 #include "support/Xorshift.h"
 
 #include <chrono>
 #include <memory>
-#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -51,10 +51,9 @@ struct SearchProfile;
 struct ExplainLog;
 } // namespace obs
 
-struct CheckpointState;
-class StackPool;
-
-/// Drives the whole search for one checker run. Also serves as the
+/// One worker's explorer: runs frontier units, one after another, for the
+/// whole search, and hands back what they produced as unit-local
+/// Attempts for a ResultAccumulator to commit. Also serves as the
 /// ChoiceSource that resolves Runtime::chooseInt data choices, so both
 /// scheduling and data nondeterminism share one replayable choice stack.
 class Explorer final : public ChoiceSource {
@@ -62,60 +61,46 @@ public:
   Explorer(const TestProgram &Program, const CheckerOptions &Opts);
   ~Explorer() override;
 
-  /// Runs executions until the search is exhausted, a bug stops it, or a
-  /// budget (time / execution count) runs out.
-  CheckResult run();
+  /// Why runUnit returned.
+  enum class UnitEnd {
+    Exhausted,   ///< Every execution below the unit's frozen prefix ran.
+    Bug,         ///< A bug stopped the unit (CheckerOptions::StopOnFirstBug).
+    Budget,      ///< \p Budget executions ran.
+    TimedOut,    ///< The unit's time budget ran out.
+    Interrupted, ///< CheckerOptions::InterruptFlag was observed.
+    Stopped,     ///< The execution hook returned false.
+  };
 
-  /// Seeds the first execution's choice stack with a recorded schedule
-  /// (see core/Schedule.h). Must be called before run().
-  ///
-  /// With \p Frozen set, the preloaded records form an immutable prefix:
-  /// the DFS never advances or pops them, so the search is confined to
-  /// the subtree below the prefix. This is how ParallelExplorer shards
-  /// the choice tree across workers.
-  void preloadSchedule(const std::vector<struct ScheduleChoice> &Choices,
-                       bool Frozen = false);
+  /// Runs DFS below \p U's frozen prefix (its first FrozenLen records are
+  /// never advanced or popped), starting from the path \p U.Prefix. Stops
+  /// after \p Budget executions (0 = no limit) or \p Seconds of wall time
+  /// (0 = no limit). On a budget stop or an interrupt the unexplored rest
+  /// of the unit becomes the pending attempt's remainder. Results
+  /// accumulate in the pending attempt until take(); the PRNG, the
+  /// coverage table and race dedup carry over from unit to unit.
+  UnitEnd runUnit(const CheckpointUnit &U, uint64_t Budget = 0,
+                  double Seconds = 0);
 
-  /// preloadSchedule freezing only the first \p FrozenLen records: the
-  /// rest of the preloaded stack stays advanceable. This is how a fleet
-  /// or isolated attempt re-enters the middle of a frozen subtree.
-  void preloadScheduleFrozenPrefix(
-      const std::vector<struct ScheduleChoice> &Choices, size_t FrozenLen);
+  /// Hands back everything accumulated since the last take() -- stats,
+  /// first bug, race incidents, newly seen signatures, remainder, PRNG
+  /// state, profile -- and starts a fresh pending attempt.
+  Attempt take();
+  /// Hands back only the pending first bug, so the next one can be kept.
+  std::optional<BugReport> takeBug();
+  /// The attempt accumulated so far; valid from the execution hook.
+  const Attempt &pending() const { return Pending; }
 
-  /// Seeds the whole search from \p From: its stats, coverage, first bug
-  /// and PRNG state carry over (so totals and budgets span the earlier
-  /// run part), and its units run one after another, each confined below
-  /// its frozen prefix -- the serial engine of runFrontier. Must precede
-  /// run(); \p From must outlive the explorer.
-  void preloadFrontier(const CheckpointState &From);
-
-  /// Seeds the coverage table with signatures from an earlier run part,
-  /// so DistinctStates and exported signatures stay cumulative.
+  /// Seeds the coverage table with signatures committed earlier, so only
+  /// new ones are handed back and lookups of old ones count as hits.
   void preloadSeenStates(const std::vector<uint64_t> &States);
-
-  /// Also record newly inserted state signatures in insertion order
-  /// (stateLog); an isolated batch child streams coverage deltas from it.
-  void enableStateLog() { LogStates = true; }
-  const std::vector<uint64_t> &stateLog() const { return StateLog; }
 
   /// PRNG state accessors for checkpoint/resume and batch chaining.
   uint64_t rngState() const { return Rng.state(); }
   void setRngState(uint64_t S) { Rng.setState(S); }
 
-  /// Live statistics; valid from the execution hook.
-  const SearchStats &currentStats() const { return Result.Stats; }
-
-  /// The DFS stack as schedule choices (Donated records excluded from
-  /// nothing -- this is the raw stack). Valid from the execution hook or
-  /// after run().
+  /// The DFS stack as schedule choices (Donated records included -- this
+  /// is the raw stack). Valid from the execution hook.
   std::vector<struct ScheduleChoice> currentStackSnapshot() const;
-
-  /// Advances the stack past the last executed path and returns it -- the
-  /// replay prefix of the next execution this explorer would have run.
-  /// std::nullopt when the (sub)tree is exhausted. Call only after run()
-  /// returned without itself advancing (hook stop, budget stop, bug
-  /// stop); the isolated rung uses it to chain batches.
-  std::optional<std::vector<struct ScheduleChoice>> nextFrontier();
 
   /// Streams every non-forced choice as it resolves (replayed or fresh):
   /// the isolated probe uses this to recover the exact stack of a crashing
@@ -127,13 +112,17 @@ public:
   void setChoiceStream(std::function<void(int Chosen, int Num, bool Backtrack,
                                           uint64_t SleepMask,
                                           uint64_t FlushMask)>
-                           CB);
+                           CB) {
+    StreamCb = std::move(CB);
+  }
 
   /// Invoked after every execution (before the DFS stack advances).
-  /// Returning false stops the search without marking it exhausted --
-  /// the parallel driver's handle for global budgets, first-bug pruning
-  /// and work donation.
-  void setExecutionHook(std::function<bool(Explorer &)> Hook);
+  /// Returning false stops the unit without marking it exhausted -- the
+  /// drivers' handle for global budgets, first-bug pruning and work
+  /// donation.
+  void setExecutionHook(std::function<bool(Explorer &)> H) {
+    Hook = std::move(H);
+  }
 
   /// Carves unexplored sibling alternatives off the DFS stack as frozen
   /// prefixes for other workers, shallowest (largest subtree) first, and
@@ -149,31 +138,13 @@ public:
   /// first-bug report deterministic.
   std::vector<int> consumedPathKey() const;
 
-  /// State signatures this explorer inserted (TrackCoverage); the
-  /// parallel driver unions the per-worker shards.
-  const U64Set &seenStates() const { return SeenStates; }
-
   /// Binds this explorer to observability shard \p Worker of Opts.Obs
   /// (serial search and the replay path use shard 0; parallel workers get
-  /// 1..Jobs). \p StartClock seeds the logical trace clock so a worker
-  /// running many short-lived explorers keeps one monotonic time axis.
-  /// No-op when no observer is attached.
-  void setObsWorker(unsigned Worker, uint64_t StartClock = 0);
+  /// 1..Jobs). No-op when no observer is attached.
+  void setObsWorker(unsigned Worker);
 
-  /// Logical transitions this explorer has run; see setObsWorker.
+  /// Logical transitions this explorer has run: the worker's trace clock.
   uint64_t obsClock() const { return ObsClock; }
-
-  /// Uses \p P for fiber stacks instead of a private pool, letting a
-  /// parallel worker share one pool across the many short-lived explorers
-  /// it runs (one per work item). \p P must outlive the explorer; only
-  /// meaningful with CheckerOptions::ReuseExecutionState. Call before
-  /// run().
-  void setStackPool(StackPool *P) { ExternalPool = P; }
-
-  /// Incidents collected so far (data races under RaceCheckMode::On); an
-  /// isolated batch child streams deltas of this list to its parent. Valid from
-  /// the execution hook or after run().
-  const std::vector<BugReport> &incidents() const { return Result.Incidents; }
 
   /// Records every executed transition (thread, op, object, enabled set,
   /// sleep mask, branch factor) plus the end classification into \p L --
@@ -218,18 +189,18 @@ private:
   /// RacesChecked, and one deduplicated DataRace incident per novel race
   /// (keyed by the interleaving-independent report message).
   void harvestRaces(const RaceDetector &D, const Runtime &RT);
-  /// Snapshot of the whole search state for CheckpointSink /
-  /// CheckResult::Resume: stats, the current stack as one non-frozen
-  /// frontier unit, RNG state, and sorted coverage signatures.
-  std::shared_ptr<CheckpointState> makeCheckpointState() const;
   /// Sends \p E to the observer's sink with this worker's identity filled
   /// in. Call only when Obs && Obs->sink().
   void emitEvent(obs::ObsEvent E);
-  /// Advances the deepest backtrackable choice, moving on to the next
-  /// queued frontier unit when this one is exhausted; false when all are.
+  /// Advances the deepest backtrackable choice above the frozen prefix;
+  /// false when the unit is exhausted.
   bool advanceStack();
-  /// Loads the next queued frontier unit as the stack; false when none.
-  bool loadNextUnit();
+  /// Advances past the finished execution and records the rest of the
+  /// unit, if any, as the pending remainder. \returns \p End.
+  UnitEnd stopWithRemainder(UnitEnd End);
+  /// Starts an empty pending attempt (with a fresh profile when
+  /// profiling).
+  void startAttempt();
   /// Resolves one choice among \p N options through the stack. Under POR
   /// \p SleepMask (the sleep set at the choice point) is recorded on
   /// fresh pushes and validated against the stack during replay;
@@ -248,7 +219,7 @@ private:
   /// where the cursor still frames the pruned node, so the pruned
   /// subtree's mass is credited by construction and the estimator sums
   /// to 1.0 at exhaustion regardless of which exits prune; every other
-  /// end credits from run().
+  /// end credits from runUnit().
   void creditEstimateMass();
   bool timeExceeded() const;
   static Tid nthMember(ThreadSet S, int Idx);
@@ -262,24 +233,19 @@ private:
   size_t Cursor = 0;
   size_t ReplayLen = 0; ///< Stack records present when the execution began.
   size_t FrozenLen = 0; ///< Leading records the DFS never advances past.
-  /// The preloaded frontier's units; those from NextUnit on still run.
-  const std::vector<CheckpointUnit> *Units = nullptr;
-  size_t NextUnit = 0;
   bool ReplayMismatch = false;
   size_t MismatchIdx = 0; ///< Stack index where replay diverged.
   std::function<bool(Explorer &)> Hook;
   std::function<void(int, int, bool, uint64_t, uint64_t)> StreamCb;
-  bool LogStates = false;
-  std::vector<uint64_t> StateLog;
   obs::ExplainLog *Explain = nullptr;
 
   /// Knuth weighted-backtrack estimator (CheckerOptions::Estimate):
   /// Neumaier-compensated running sum of per-execution leaf masses;
-  /// Result.Stats.EstimateMass always holds Sum + Comp so hooks and
-  /// checkpoints see the compensated total.
+  /// Pending.Stats.EstimateMass always holds Sum + Comp so hooks see the
+  /// compensated total. Restarts with each pending attempt.
   double EstMassSum = 0;
   double EstMassComp = 0;
-  /// Borrowed view of Result.Profile (CheckerOptions::ProfileSearch);
+  /// Borrowed view of Pending.Profile (CheckerOptions::ProfileSearch);
   /// null when profiling is off, so hot-path hooks are one pointer test.
   obs::SearchProfile *Prof = nullptr;
 
@@ -292,15 +258,17 @@ private:
   /// it instead of wall time so serial traces are byte-reproducible.
   uint64_t ObsClock = 0;
 
-  /// Execution-state recycling (CheckerOptions::ReuseExecutionState):
-  /// one Runtime rewound via reset() per execution instead of a fresh
-  /// object, with fiber stacks drawn from a pool. Declared before
-  /// PersistentRT so the pool outlives the fibers that release into it.
-  std::unique_ptr<StackPool> OwnPool;
-  StackPool *ExternalPool = nullptr;
+  /// Execution-state recycling: one Runtime, rewound via reset() before
+  /// every execution but the first, with fiber stacks drawn from the
+  /// pool. Pool is declared first so it outlives the fibers that release
+  /// into it.
+  StackPool Pool;
   std::unique_ptr<Runtime> PersistentRT;
 
-  CheckResult Result;
+  Attempt Pending;
+  /// Executions handed back by earlier take()s: with the pending count,
+  /// the execution index trace events carry.
+  uint64_t ExecsTaken = 0;
   Trace CurTrace;
   /// Scratch for serializing Stack into ScheduleChoices (bug reports,
   /// race incidents); a member so repeated serialization reuses capacity.
@@ -313,9 +281,10 @@ private:
   /// preloadSeenStates so long runs never rehash mid-search.
   U64Set SeenStates;
   U64Set PruneKeys;
-  uint64_t CurExecution = 0;
   uint64_t CurSteps = 0;
+  /// The running unit's start and time budget (0 = none).
   std::chrono::steady_clock::time_point StartTime;
+  double TimeBudget = 0;
 };
 
 } // namespace fsmc

@@ -17,11 +17,11 @@
 // and remainder units. A worker that dies mid-attempt therefore commits
 // nothing, and re-running the same unit on another worker reproduces the
 // identical deterministic attempt. (An isolated child also streams an
-// ExecDone record per execution, so a death inside execution N+1 commits
-// exactly executions 1..N.) Committed stats plus pending units always
-// describe exactly the remaining search, which is why verdicts and
-// incident sets match --jobs=N even under FSMC_FLEET_CHAOS fault
-// injection.
+// ExecDone record per execution, its bug and races ahead of it, so a
+// death inside execution N+1 commits exactly executions 1..N.) Committed
+// stats plus pending units always describe exactly the remaining search,
+// which is why verdicts and incident sets match --jobs=N even under
+// FSMC_FLEET_CHAOS fault injection.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +33,6 @@
 #include "core/Wire.h"
 #include "core/WorkLease.h"
 #include "obs/Observer.h"
-#include "runtime/StackPool.h"
 
 #include <algorithm>
 #include <chrono>
@@ -43,7 +42,6 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include <poll.h>
@@ -78,6 +76,7 @@ enum UpTag : uint8_t {
   TagExecDone = 18, // isolated child: progress after each execution
   TagIncident = 19, // isolated child: a race, ahead of its ExecDone
   TagChoice = 20,   // isolated probe: one resolved choice
+  TagBug = 21,      // isolated child: its first bug, ahead of its ExecDone
 };
 
 void putBug(WireWriter &W, const BugReport &B) {
@@ -100,20 +99,9 @@ BugReport getBug(WireReader &R) {
   return B;
 }
 
-/// One attempt at a unit: what a UnitDone record carries.
-struct Attempt {
-  uint64_t LeaseId = 0;
-  bool TimedOut = false; ///< The attempt's own time budget expired.
-  uint64_t Rng = 0;      ///< Final PRNG state (the isolated rung chains it).
-  SearchStats Stats;     ///< Unit-local: the attempt started from zero.
-  std::optional<BugReport> Bug;
-  std::vector<BugReport> Incidents;
-  std::vector<uint64_t> States;
-  std::vector<CheckpointUnit> Rem; ///< Unexplored remainder of the unit.
-};
-
-void putAttempt(WireWriter &W, const Attempt &A) {
-  W.u64(A.LeaseId);
+/// A UnitDone record: the lease id, then the attempt.
+void putAttempt(WireWriter &W, uint64_t LeaseId, const Attempt &A) {
+  W.u64(LeaseId);
   W.u8(A.TimedOut ? 1 : 0);
   W.u64(A.Rng);
   W.stats(A.Stats);
@@ -131,8 +119,8 @@ void putAttempt(WireWriter &W, const Attempt &A) {
   }
 }
 
-bool getAttempt(WireReader R, Attempt &A) {
-  A.LeaseId = R.u64();
+bool getAttempt(WireReader R, uint64_t &LeaseId, Attempt &A) {
+  LeaseId = R.u64();
   A.TimedOut = R.u8() != 0;
   A.Rng = R.u64();
   A.Stats = R.stats();
@@ -272,9 +260,8 @@ struct WorkerCtl {
   }
 };
 
-/// The worker process: loop forever running issued units, one fresh
-/// serial Explorer per attempt (unit-local stats, shared stack pool), and
-/// commit each with a single UnitDone record.
+/// The worker process: loop forever running issued units on one Explorer,
+/// and commit each attempt with a single UnitDone record.
 [[noreturn]] void fleetWorkerMain(const WorkerConfig &Cfg, int DownFd,
                                   int UpFd) {
   // The coordinator owns interrupt policy; workers die by pipe EOF,
@@ -286,8 +273,52 @@ struct WorkerCtl {
 
   WorkerCtl Ctl;
   Ctl.DownFd = DownFd;
-  StackPool Pool; // persists across attempts (fiber-stack reuse)
   uint64_t LifetimeExecs = 0;
+  // One explorer for every attempt. Its coverage table holds committed
+  // signatures plus the running attempt's: a lost attempt kills it too.
+  Explorer E(*Cfg.Program, Cfg.Opts);
+  IssuedUnit U;
+  uint64_t Done = 0;
+  std::vector<std::vector<ScheduleChoice>> Remainder;
+  auto LastBeat = std::chrono::steady_clock::now();
+  bool SentBeat = false;
+
+  E.setExecutionHook([&](Explorer &Ex) {
+    ++Done;
+    ++LifetimeExecs;
+    // Fault injection: die or go silent mid-attempt, before anything
+    // is committed -- exactly the failure the recovery path must mask.
+    if (Cfg.KillAfter && LifetimeExecs >= Cfg.KillAfter)
+      ::kill(::getpid(), SIGKILL);
+    if (Cfg.HangAfter && LifetimeExecs >= Cfg.HangAfter)
+      for (;;)
+        ::pause();
+    auto NowT = std::chrono::steady_clock::now();
+    if (!SentBeat ||
+        std::chrono::duration<double>(NowT - LastBeat).count() >=
+            Cfg.HeartbeatPeriod) {
+      WireWriter W;
+      W.u64(U.LeaseId);
+      W.u64(LifetimeExecs);
+      if (!writeRecord(UpFd, TagHeartbeat, W))
+        _exit(0);
+      LastBeat = NowT;
+      SentBeat = true;
+    }
+    Ctl.pump(/*Block=*/false);
+    if (Ctl.HaveBest && Cfg.Opts.StopOnFirstBug) {
+      // Everything still unexplored in this unit is DFS-after the path
+      // just consumed; if that path is already at-or-after the best
+      // bug, nothing here can improve it. Drop the rest.
+      if (!dfsBefore(Ex.consumedPathKey(), Ctl.BestKey))
+        return false;
+    }
+    if (Ctl.StopReq || Ctl.Shutdown || Done >= U.Budget) {
+      Ex.splitWork(Remainder, SIZE_MAX);
+      return false;
+    }
+    return true;
+  });
 
   for (;;) {
     Ctl.pump(/*Block=*/Ctl.Units.empty());
@@ -296,78 +327,24 @@ struct WorkerCtl {
         _exit(0);
       continue;
     }
-    IssuedUnit U = std::move(Ctl.Units.front());
+    U = std::move(Ctl.Units.front());
     Ctl.Units.pop_front();
     Ctl.StopReq = false; // a stale Stop must not kill the fresh attempt
+    Done = 0;
+    Remainder.clear();
+    SentBeat = false;
 
-    CheckerOptions AOpts = Cfg.Opts;
-    AOpts.TimeBudgetSeconds = U.TimeBudget;
-    Explorer E(*Cfg.Program, AOpts);
-    if (Cfg.Opts.ReuseExecutionState)
-      E.setStackPool(&Pool);
-    if (!U.Prefix.empty())
-      E.preloadScheduleFrozenPrefix(U.Prefix, U.FrozenLen);
-
-    uint64_t Done = 0;
-    std::vector<std::vector<ScheduleChoice>> Remainder;
-    auto LastBeat = std::chrono::steady_clock::now();
-    bool SentBeat = false;
-
-    E.setExecutionHook([&](Explorer &Ex) {
-      ++Done;
-      ++LifetimeExecs;
-      // Fault injection: die or go silent mid-attempt, before anything
-      // is committed -- exactly the failure the recovery path must mask.
-      if (Cfg.KillAfter && LifetimeExecs >= Cfg.KillAfter)
-        ::kill(::getpid(), SIGKILL);
-      if (Cfg.HangAfter && LifetimeExecs >= Cfg.HangAfter)
-        for (;;)
-          ::pause();
-      auto NowT = std::chrono::steady_clock::now();
-      if (!SentBeat ||
-          std::chrono::duration<double>(NowT - LastBeat).count() >=
-              Cfg.HeartbeatPeriod) {
-        WireWriter W;
-        W.u64(U.LeaseId);
-        W.u64(LifetimeExecs);
-        if (!writeRecord(UpFd, TagHeartbeat, W))
-          _exit(0);
-        LastBeat = NowT;
-        SentBeat = true;
-      }
-      Ctl.pump(/*Block=*/false);
-      if (Ctl.HaveBest && Cfg.Opts.StopOnFirstBug) {
-        // Everything still unexplored in this unit is DFS-after the path
-        // just consumed; if that path is already at-or-after the best
-        // bug, nothing here can improve it. Drop the rest.
-        if (!dfsBefore(Ex.consumedPathKey(), Ctl.BestKey))
-          return false;
-      }
-      if (Ctl.StopReq || Ctl.Shutdown || Done >= U.Budget) {
-        Ex.splitWork(Remainder, SIZE_MAX);
-        return false;
-      }
-      return true;
-    });
-
-    CheckResult R = E.run();
-
-    Attempt A;
-    A.LeaseId = U.LeaseId;
-    A.TimedOut = R.Stats.TimedOut;
-    A.Stats = R.Stats;
-    A.Bug = R.Bug;
-    A.Incidents = std::move(R.Incidents);
-    if (Cfg.Opts.TrackCoverage) {
-      A.States.assign(E.seenStates().begin(), E.seenStates().end());
-      std::sort(A.States.begin(), A.States.end());
-    }
+    // Attempts start their PRNG from the seed, whoever runs them.
+    E.setRngState(Cfg.Opts.Seed);
+    E.runUnit({std::move(U.Prefix), U.FrozenLen}, /*Budget=*/0,
+              U.TimeBudget);
+    Attempt A = E.take();
     for (std::vector<ScheduleChoice> &P : Remainder) {
       size_t N = P.size();
       A.Rem.push_back({std::move(P), N});
     }
     WireWriter W;
-    putAttempt(W, A);
+    putAttempt(W, U.LeaseId, A);
     if (!writeRecord(UpFd, TagUnitDone, W))
       _exit(0);
     if (Ctl.Shutdown)
@@ -383,9 +360,11 @@ struct WorkerCtl {
 /// fork so the child only reads memory it inherited.
 struct IsolatedInput {
   const TestProgram *Program = nullptr;
-  CheckerOptions Opts; ///< Stripped attempt options plus the batch budget.
+  CheckerOptions Opts; ///< Stripped attempt options.
   CheckpointUnit Unit;
-  const std::unordered_set<uint64_t> *States = nullptr; ///< Coverage so far.
+  uint64_t Budget = 0;  ///< Executions in this batch.
+  double Seconds = 0;   ///< Time budget of this batch (0 = none).
+  const U64Set *States = nullptr; ///< Coverage so far.
   uint64_t Rng = 0;
   /// Probe mode: stream every choice as it resolves, so the stack of an
   /// execution that never finishes is known outside the process.
@@ -393,15 +372,13 @@ struct IsolatedInput {
 };
 
 /// Runs one batch of the unit inside the forked child: an ExecDone record
-/// per finished execution (races ahead of it, so they commit and are
-/// discarded with it), then the UnitDone record. Never returns.
+/// per finished execution (its bug and races ahead of it, so they commit
+/// and are discarded with it), then the UnitDone record. Never returns.
 [[noreturn]] void isolatedChildMain(const IsolatedInput &In, int Fd) {
   Explorer E(*In.Program, In.Opts);
-  E.preloadScheduleFrozenPrefix(In.Unit.Prefix, In.Unit.FrozenLen);
   E.preloadSeenStates(
       std::vector<uint64_t>(In.States->begin(), In.States->end()));
   E.setRngState(In.Rng);
-  E.enableStateLog();
   if (In.Probe)
     E.setChoiceStream([&](int Chosen, int Num, bool Backtrack,
                           uint64_t SleepMask, uint64_t FlushMask) {
@@ -410,42 +387,38 @@ struct IsolatedInput {
       writeRecord(Fd, TagChoice, W);
     });
   size_t StatesSent = 0, IncidentsSent = 0;
-  bool PipeOk = true;
+  bool BugSent = false, PipeOk = true;
   E.setExecutionHook([&](Explorer &Ex) {
-    const std::vector<BugReport> &Inc = Ex.incidents();
-    for (; IncidentsSent < Inc.size(); ++IncidentsSent) {
+    const Attempt &P = Ex.pending();
+    if (P.Bug && !BugSent) {
       WireWriter W;
-      putBug(W, Inc[IncidentsSent]);
+      putBug(W, *P.Bug);
+      writeRecord(Fd, TagBug, W);
+      BugSent = true;
+    }
+    for (; IncidentsSent < P.Incidents.size(); ++IncidentsSent) {
+      WireWriter W;
+      putBug(W, P.Incidents[IncidentsSent]);
       writeRecord(Fd, TagIncident, W);
     }
     WireWriter W;
-    W.stats(Ex.currentStats());
+    W.stats(P.Stats);
     W.u64(Ex.rngState());
     W.choices(Ex.currentStackSnapshot());
-    const std::vector<uint64_t> &Log = Ex.stateLog();
-    W.states(Log.data() + StatesSent, Log.size() - StatesSent);
-    StatesSent = Log.size();
+    W.states(P.States.data() + StatesSent, P.States.size() - StatesSent);
+    StatesSent = P.States.size();
     PipeOk = writeRecord(Fd, TagExecDone, W);
     return PipeOk; // Parent gone -> stop quietly.
   });
 
-  CheckResult R = E.run();
+  // A batch boundary (or the global cap; the coordinator re-derives which)
+  // leaves the rest of the unit as the remainder: the next path, same
+  // frozen prefix.
+  E.runUnit(In.Unit, In.Budget, In.Seconds);
   if (!PipeOk)
     _exit(0);
-  Attempt A;
-  A.TimedOut = R.Stats.TimedOut;
-  A.Rng = E.rngState();
-  A.Stats = R.Stats;
-  A.Bug = R.Bug;
-  A.Incidents = std::move(R.Incidents);
-  A.States = E.stateLog();
-  // A batch boundary (or the global cap; the coordinator re-derives which)
-  // leaves the rest of the unit: the next path, same frozen prefix.
-  if (R.Stats.ExecutionCapHit)
-    if (auto Next = E.nextFrontier())
-      A.Rem.push_back({std::move(*Next), In.Unit.FrozenLen});
   WireWriter W;
-  putAttempt(W, A);
+  putAttempt(W, /*LeaseId=*/0, E.take());
   writeRecord(Fd, TagUnitDone, W);
   _exit(0);
 }
@@ -457,8 +430,10 @@ struct ChildReport {
   uint64_t ExecRng = 0;
   std::vector<ScheduleChoice> LastStack;
   std::vector<uint64_t> StatesDelta; ///< Accumulated across ExecDones.
-  // Races in arrival order; the first RacesAtLastExec are committable
-  // when the child dies mid-execution.
+  // The first bug and the races in arrival order; what arrived before
+  // the last ExecDone is committable when the child dies mid-execution.
+  std::optional<BugReport> Bug;
+  bool BugAtLastExec = false;
   std::vector<BugReport> Races;
   size_t RacesAtLastExec = 0;
   std::optional<Attempt> Done; ///< The UnitDone of a clean finish.
@@ -476,7 +451,15 @@ struct ChildReport {
         break;
       StatesDelta.insert(StatesDelta.end(), Delta.begin(), Delta.end());
       HaveExec = true;
+      BugAtLastExec = Bug.has_value();
       RacesAtLastExec = Races.size();
+      return;
+    }
+    case TagBug: {
+      BugReport B = getBug(R);
+      if (!R.Ok)
+        break;
+      Bug = std::move(B);
       return;
     }
     case TagIncident: {
@@ -488,7 +471,8 @@ struct ChildReport {
     }
     case TagUnitDone: {
       Attempt A;
-      if (!getAttempt(R, A))
+      uint64_t LeaseId;
+      if (!getAttempt(R, LeaseId, A))
         break;
       Done = std::move(A);
       return;
@@ -718,20 +702,13 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
 
   obs::WorkerCounters *Ctr = Opts.Obs ? &Opts.Obs->shard(0) : nullptr;
 
-  // Attempt options: in-process serial exploration with every
-  // parent-owned mechanism stripped. Budgets are enforced per unit, and
-  // the observer must stay null in children -- fork duplicates sink FILE
-  // buffers. Profiles cannot cross the pipe (shared_ptr payload).
+  // Explorer options in the children: budgets come with each unit and
+  // interrupts are the coordinator's. The observer must stay null --
+  // fork duplicates sink FILE buffers -- and profiles cannot cross the
+  // pipe (shared_ptr payload).
   CheckerOptions ChildOpts = Opts;
-  ChildOpts.Isolate = IsolationMode::Off;
-  ChildOpts.Jobs = 1;
-  ChildOpts.FleetWorkers = 0;
   ChildOpts.Obs = nullptr;
   ChildOpts.InterruptFlag = nullptr;
-  ChildOpts.CheckpointEvery = 0;
-  ChildOpts.CheckpointSink = nullptr;
-  ChildOpts.ExportStateSignatures = false;
-  ChildOpts.MaxExecutions = 0;
   ChildOpts.ProfileSearch = false;
 
   WorkerConfig BaseCfg;
@@ -816,13 +793,12 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     return std::max(Opts.TimeBudgetSeconds - elapsed(), 0.001);
   };
   auto isolatedInput = [&](const CheckpointUnit &U, uint64_t Budget,
-                           const std::unordered_set<uint64_t> &States,
-                           uint64_t Seed) {
+                           const U64Set &States, uint64_t Seed) {
     IsolatedInput In;
     In.Program = &Program;
     In.Opts = ChildOpts;
-    In.Opts.MaxExecutions = Budget;
-    In.Opts.TimeBudgetSeconds = attemptTime();
+    In.Budget = Budget;
+    In.Seconds = attemptTime();
     In.Unit = U;
     In.States = &States;
     In.Rng = Seed;
@@ -846,7 +822,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   // Falls back to the replay prefix when nothing streamed; nullopt when
   // an interrupt cut the probe short.
   auto probe = [&](const std::vector<ScheduleChoice> &Prefix,
-                   const std::unordered_set<uint64_t> &States, uint64_t Seed)
+                   const U64Set &States, uint64_t Seed)
       -> std::optional<std::vector<ScheduleChoice>> {
     IsolatedInput In = isolatedInput({Prefix, Prefix.size()}, 1, States, Seed);
     In.Probe = true;
@@ -870,7 +846,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     const WorkUnit &W = LT.unit(Id);
     CheckpointUnit U{W.Prefix, W.FrozenLen};
     std::optional<std::vector<ScheduleChoice>> Stack;
-    static const std::unordered_set<uint64_t> NoStates;
+    static const U64Set NoStates;
     ChildReport Rep;
     ChildExit Ex;
     if (runIsolatedChild(
@@ -898,18 +874,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
   // Merges one committed attempt -- the only way search results enter the
   // totals, shared by the workers and the isolated rung.
   auto commitAttempt = [&](uint64_t LeaseId, Attempt &&A, bool Front) {
-    // Attempt-local execution indices become search-wide ones.
-    uint64_t Base = Acc.Stats.Executions;
-    if (A.Bug)
-      A.Bug->AtExecution += Base;
-    for (BugReport &I : A.Incidents)
-      I.AtExecution += Base;
-    Acc.commit(A.Stats, A.States, A.Incidents);
-    if (A.Bug) {
-      bumpBugClassCounter(Ctr, A.Bug->Kind);
-      if (Acc.Best.offer(*A.Bug) && Opts.StopOnFirstBug)
-        broadcastBestBug();
-    }
+    if (Acc.commit(A) && Opts.StopOnFirstBug)
+      broadcastBestBug();
     for (CheckpointUnit &U : A.Rem)
       LT.add(std::move(U.Prefix), U.FrozenLen, Front);
     LT.commit(LeaseId);
@@ -919,7 +885,8 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
 
   auto commitUnitDone = [&](FleetWorker &W, WireReader R) {
     Attempt A;
-    if (!getAttempt(R, A) || A.LeaseId == 0 || A.LeaseId != W.LeaseId) {
+    uint64_t LeaseId = 0;
+    if (!getAttempt(R, LeaseId, A) || LeaseId == 0 || LeaseId != W.LeaseId) {
       // Garbled commit: the worker is compromised; kill it and let the
       // reap path fail its lease so nothing half-merged survives.
       if (W.Alive && !W.KillSent) {
@@ -929,7 +896,7 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
       return;
     }
     W.LeaseId = 0;
-    commitAttempt(A.LeaseId, std::move(A), /*Front=*/false);
+    commitAttempt(LeaseId, std::move(A), /*Front=*/false);
   };
 
   // One step of the isolated rung: one batch of the oldest unit in a
@@ -984,8 +951,10 @@ CheckResult fsmc::runFleet(const TestProgram &Program,
     if (Rep.HaveExec) {
       A.Stats = Rep.ExecStats;
       A.States = std::move(Rep.StatesDelta);
-      // Races past the last ExecDone belong to the execution the child
-      // died in; they are discarded with it.
+      // A bug or races past the last ExecDone belong to the execution the
+      // child died in; they are discarded with it.
+      if (Rep.BugAtLastExec)
+        A.Bug = std::move(Rep.Bug);
       A.Incidents.assign(Rep.Races.begin(),
                          Rep.Races.begin() + long(Rep.RacesAtLastExec));
       Rng = Rep.ExecRng;

@@ -9,14 +9,15 @@
 // largest subtrees), and only when every deque is empty posts a *steal
 // request* on an active victim; the victim answers at its next execution
 // boundary by splitting its shallowest unexplored siblings onto its own
-// deque top, where thieves grab them. Cross-worker results (stats,
-// coverage signatures, race dedup, search profile) accumulate in
-// worker-local buffers and merge once per worker per epoch, so the
-// steady-state execution loop acquires no shared lock at all: its only
-// shared traffic is a handful of relaxed atomic loads and one fetch_add
-// on the execution counter. The best-bug check that used to take a mutex
-// every execution is now a generation-stamped cache refreshed only when
-// some worker actually lands a better bug.
+// deque top, where thieves grab them. Each worker runs one Explorer for
+// the whole search; its results (stats, coverage signatures, race dedup,
+// search profile) accumulate in that explorer's pending attempt and
+// commit once per worker per epoch, so the steady-state execution loop
+// acquires no shared lock at all: its only shared traffic is a handful
+// of relaxed atomic loads and one fetch_add on the execution counter.
+// The best-bug check that used to take a mutex every execution is now a
+// generation-stamped cache refreshed only when some worker actually
+// lands a better bug.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,8 +29,6 @@
 #include "core/WorkQueue.h"
 #include "core/WorkStealDeque.h"
 #include "obs/Observer.h"
-#include "obs/SearchProfile.h"
-#include "runtime/StackPool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -37,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 using namespace fsmc;
@@ -51,9 +49,8 @@ constexpr std::chrono::microseconds ParkTimeout(500);
 } // namespace
 
 struct ParallelExplorer::Shared {
-  Shared(size_t QueueCapacity, size_t Jobs, const CheckerOptions &Opts,
-         const CheckpointState &Base)
-      : Injector(QueueCapacity), Deques(Jobs),
+  Shared(size_t Jobs, const CheckerOptions &Opts, const CheckpointState &Base)
+      : Deques(Jobs),
         StealReq(std::make_unique<std::atomic<bool>[]>(Jobs)),
         Active(std::make_unique<std::atomic<bool>[]>(Jobs)), Acc(Opts, Base) {
     for (size_t I = 0; I < Jobs; ++I) {
@@ -104,9 +101,9 @@ struct ParallelExplorer::Shared {
   // sound -- a former best is DFS-after the current best, so anything
   // pruned as DFS-after the former best is DFS-after the current best too.
   // Everything else in Acc is guarded by MergeM and merged deferred:
-  // workers accumulate stats, signature shards and race incidents in
-  // worker-local buffers and commit them once per worker per epoch
-  // (before the epoch's join), never per item.
+  // each worker's explorer accumulates stats, signatures and race
+  // incidents, and the worker commits them once per epoch (before the
+  // epoch's join), never per item.
   std::mutex BugM;
   std::atomic<uint64_t> BugVersion{0};
   std::mutex MergeM;
@@ -153,8 +150,7 @@ ParallelExplorer::~ParallelExplorer() = default;
 CheckResult ParallelExplorer::run() {
   const int Jobs = Opts.Jobs;
   auto Start = std::chrono::steady_clock::now();
-  Shared SH(/*QueueCapacity=*/size_t(Jobs) * 64, size_t(Jobs), Opts,
-            Frontier);
+  Shared SH(size_t(Jobs), Opts, Frontier);
   if (Opts.Obs)
     SH.Injector.setObserver(&Opts.Obs->shard(0));
   if (Opts.TimeBudgetSeconds > 0) {
@@ -165,9 +161,9 @@ CheckResult ParallelExplorer::run() {
                                   Opts.TimeBudgetSeconds));
   }
 
-  // Seed the frontier as fully frozen subtree prefixes (the injector's
-  // capacity is soft). A fresh search is one empty-prefix item that the
-  // other workers' steal requests fan out from.
+  // Seed the frontier as fully frozen subtree prefixes. A fresh search
+  // is one empty-prefix item that the other workers' steal requests fan
+  // out from.
   SH.Executions.store(SH.Acc.Stats.Executions, std::memory_order_relaxed);
   std::vector<WorkItem> Seed;
   for (const CheckpointUnit &U : Frontier.Frontier)
@@ -176,17 +172,11 @@ CheckResult ParallelExplorer::run() {
   SH.registerItems(Seed.size());
   SH.Injector.pushAll(std::move(Seed));
 
+  // Budgets, interrupts and checkpoints belong to the driver, which
+  // enforces them through the execution hook: a worker explorer must
+  // never halt on its own.
   CheckerOptions WorkerOpts = Opts;
-  WorkerOpts.Jobs = 1;
-  // Budgets are enforced globally through the execution hook; a worker
-  // must not stop on its private counters. Likewise interrupts and
-  // checkpoints belong to the driver: a worker explorer must never
-  // snapshot or halt on its own.
-  WorkerOpts.MaxExecutions = 0;
-  WorkerOpts.TimeBudgetSeconds = 0;
   WorkerOpts.InterruptFlag = nullptr;
-  WorkerOpts.CheckpointEvery = 0;
-  WorkerOpts.CheckpointSink = nullptr;
 
   const uint64_t MaxExecutions = Opts.MaxExecutions;
   const bool StopOnFirstBug = Opts.StopOnFirstBug;
@@ -196,9 +186,16 @@ CheckResult ParallelExplorer::run() {
         (SH.Executions.load(std::memory_order_relaxed) / Every + 1) * Every,
         std::memory_order_relaxed);
 
-  // Worker ids 1..Jobs: observability shard 0 stays with the driver (the
-  // injector publishes its depth gauge there; each worker publishes its
-  // own deque depth on its own shard, and the snapshot sums them).
+  // One explorer per worker for the whole search, across items and
+  // epochs. Worker ids 1..Jobs: observability shard 0 stays with the
+  // driver (the injector publishes its depth gauge there; each worker
+  // publishes its own deque depth on its own shard, and the snapshot
+  // sums them).
+  std::vector<std::unique_ptr<Explorer>> Explorers;
+  for (int W = 1; W <= Jobs; ++W) {
+    Explorers.push_back(std::make_unique<Explorer>(Program, WorkerOpts));
+    Explorers.back()->setObsWorker(unsigned(W));
+  }
   auto WorkerMain = [&](int WorkerId) {
     const size_t Self = size_t(WorkerId) - 1;
     WorkStealDeque &MyDeque = SH.Deques[Self];
@@ -206,11 +203,7 @@ CheckResult ParallelExplorer::run() {
     obs::WorkerCounters *WCtr =
         Opts.Obs ? &Opts.Obs->shard(unsigned(WorkerId)) : nullptr;
     obs::EventSink *Sink = Opts.Obs ? Opts.Obs->sink() : nullptr;
-    uint64_t Clock = 0; ///< This worker's logical time across items.
-    // One stack pool per worker, shared across all its work items: fiber
-    // stacks warmed by the first item are reused for the rest instead of
-    // each short-lived Explorer growing a private pool from cold.
-    StackPool WorkerPool;
+    Explorer &E = *Explorers[Self];
 
     // Counts every shared-lock acquisition this worker performs --
     // injector, stash, bug and merge mutexes, plus steals into other
@@ -221,14 +214,6 @@ CheckResult ParallelExplorer::run() {
       if (WCtr)
         WCtr->add(obs::Counter::QueueLockAcquires);
     };
-
-    // Worker-local merge buffers: reconciled into SH once, at worker
-    // exit (= end of epoch), never per item or per execution.
-    SearchStats LStats;
-    std::shared_ptr<obs::SearchProfile> LProfile;
-    std::unordered_set<uint64_t> LStates;
-    std::unordered_set<std::string> LRaceKeys;
-    std::vector<BugReport> LRaceIncidents;
 
     // Generation-stamped private copy of the best bug (see Shared::BugM).
     uint64_t LBugVer = 0;
@@ -256,6 +241,84 @@ CheckResult ParallelExplorer::run() {
         }
       }
     };
+
+    E.setExecutionHook([&](Explorer &Ex) {
+      uint64_t N = SH.Executions.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (MaxExecutions && N >= MaxExecutions) {
+        SH.CapHit.store(true, std::memory_order_relaxed);
+        SH.requestStop();
+      }
+      if (SH.HasDeadline &&
+          std::chrono::steady_clock::now() >= SH.Deadline) {
+        SH.GlobalTimeout.store(true, std::memory_order_relaxed);
+        SH.requestStop();
+      }
+      if (SH.StopAll.load(std::memory_order_relaxed))
+        return false;
+      // Epoch triggers: an interrupt or a crossed checkpoint boundary
+      // stops every worker at its next execution boundary.
+      if (Opts.InterruptFlag &&
+          Opts.InterruptFlag->load(std::memory_order_relaxed)) {
+        SH.InterruptSeen.store(true, std::memory_order_relaxed);
+        SH.EpochStop.store(true, std::memory_order_relaxed);
+      } else if (N >= SH.NextCheckpointAt.load(std::memory_order_relaxed)) {
+        SH.EpochStop.store(true, std::memory_order_relaxed);
+      }
+      if (SH.EpochStop.load(std::memory_order_relaxed)) {
+        // Stash this item's entire unexplored remainder: splitWork over
+        // the whole stack donates every untried alternative, so stopping
+        // here loses nothing. (The item itself stays outstanding until
+        // the post-run finishItems.)
+        std::vector<std::vector<ScheduleChoice>> Rest;
+        Ex.splitWork(Rest, SIZE_MAX);
+        CountLock();
+        SH.stashPrefixes(std::move(Rest));
+        return false;
+      }
+      // First-bug pruning: everything this item would explore next is
+      // DFS-after its current path, so once that path passes the best
+      // bug the serial search would already have stopped. The common
+      // no-bug case costs one relaxed version load -- no lock, no key
+      // materialization.
+      if (StopOnFirstBug) {
+        RefreshBug();
+        if (LHasBug && !dfsBefore(Ex.consumedPathKey(), LBestKey))
+          return false;
+      }
+      // Steal response: a starving thief asked us to split. Publish the
+      // shallowest unexplored siblings -- the largest subtrees we own --
+      // on our own deque top, where the thief (and anyone else) can
+      // take them without stopping us.
+      if (MyStealReq.load(std::memory_order_relaxed)) {
+        MyStealReq.store(false, std::memory_order_relaxed);
+        std::vector<std::vector<ScheduleChoice>> Prefixes;
+        Ex.splitWork(Prefixes, size_t(Jobs) * 2);
+        if (!Prefixes.empty()) {
+          size_t Donated = Prefixes.size();
+          std::vector<WorkItem> Items;
+          Items.reserve(Donated);
+          for (auto &P : Prefixes)
+            Items.push_back(WorkItem{std::move(P)});
+          SH.registerItems(Donated);
+          MyDeque.publishTop(std::move(Items));
+          // Lock-free wake; a miss is bounded by the park timeout.
+          SH.Injector.notifyAll();
+          if (WCtr) {
+            WCtr->add(obs::Counter::PrefixesDonated, Donated);
+            WCtr->setGauge(obs::Gauge::WorkQueueDepth, MyDeque.size());
+          }
+          if (Sink) {
+            obs::ObsEvent Ev;
+            Ev.Kind = obs::EventKind::Donation;
+            Ev.Worker = unsigned(WorkerId);
+            Ev.Ts = Ex.obsClock();
+            Ev.ArgA = Donated;
+            Sink->event(Ev);
+          }
+        }
+      }
+      return true;
+    });
 
     unsigned IdleSpins = 0;
     for (;;) {
@@ -344,14 +407,14 @@ CheckResult ParallelExplorer::run() {
         }
       }
 
-      CheckerOptions ItemOpts = WorkerOpts;
+      double Seconds = 0;
       if (SH.HasDeadline) {
         // Re-derive the remaining budget so the explorer's mid-execution
         // time checks stay meaningful for this item.
         double Remaining = std::chrono::duration<double>(
                                SH.Deadline - std::chrono::steady_clock::now())
                                .count();
-        ItemOpts.TimeBudgetSeconds = Remaining > 0.001 ? Remaining : 0.001;
+        Seconds = Remaining > 0.001 ? Remaining : 0.001;
       }
 
       if (WCtr) {
@@ -363,121 +426,31 @@ CheckResult ParallelExplorer::run() {
         obs::ObsEvent Ev;
         Ev.Kind = obs::EventKind::WorkItemStart;
         Ev.Worker = unsigned(WorkerId);
-        Ev.Ts = Clock;
+        Ev.Ts = E.obsClock();
         Ev.ArgA = Item->Prefix.size();
         Sink->event(Ev);
       }
       SH.Active[Self].store(true, std::memory_order_relaxed);
 
-      Explorer E(Program, ItemOpts);
-      if (ItemOpts.ReuseExecutionState)
-        E.setStackPool(&WorkerPool);
-      E.setObsWorker(unsigned(WorkerId), Clock);
-      E.preloadSchedule(Item->Prefix, /*Frozen=*/true);
-      E.setExecutionHook([&](Explorer &Ex) {
-        uint64_t N = SH.Executions.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (MaxExecutions && N >= MaxExecutions) {
-          SH.CapHit.store(true, std::memory_order_relaxed);
-          SH.requestStop();
-        }
-        if (SH.HasDeadline &&
-            std::chrono::steady_clock::now() >= SH.Deadline) {
-          SH.GlobalTimeout.store(true, std::memory_order_relaxed);
-          SH.requestStop();
-        }
-        if (SH.StopAll.load(std::memory_order_relaxed))
-          return false;
-        // Epoch triggers: an interrupt or a crossed checkpoint boundary
-        // stops every worker at its next execution boundary.
-        if (Opts.InterruptFlag &&
-            Opts.InterruptFlag->load(std::memory_order_relaxed)) {
-          SH.InterruptSeen.store(true, std::memory_order_relaxed);
-          SH.EpochStop.store(true, std::memory_order_relaxed);
-        } else if (N >= SH.NextCheckpointAt.load(std::memory_order_relaxed)) {
-          SH.EpochStop.store(true, std::memory_order_relaxed);
-        }
-        if (SH.EpochStop.load(std::memory_order_relaxed)) {
-          // Stash this item's entire unexplored remainder: splitWork over
-          // the whole stack donates every untried alternative, so stopping
-          // here loses nothing. (The item itself stays outstanding until
-          // the post-run finishItems.)
-          std::vector<std::vector<ScheduleChoice>> Rest;
-          Ex.splitWork(Rest, SIZE_MAX);
-          CountLock();
-          SH.stashPrefixes(std::move(Rest));
-          return false;
-        }
-        // First-bug pruning: everything this item would explore next is
-        // DFS-after its current path, so once that path passes the best
-        // bug the serial search would already have stopped. The common
-        // no-bug case costs one relaxed version load -- no lock, no key
-        // materialization.
-        if (StopOnFirstBug) {
-          RefreshBug();
-          if (LHasBug && !dfsBefore(Ex.consumedPathKey(), LBestKey))
-            return false;
-        }
-        // Steal response: a starving thief asked us to split. Publish the
-        // shallowest unexplored siblings -- the largest subtrees we own --
-        // on our own deque top, where the thief (and anyone else) can
-        // take them without stopping us.
-        if (MyStealReq.load(std::memory_order_relaxed)) {
-          MyStealReq.store(false, std::memory_order_relaxed);
-          std::vector<std::vector<ScheduleChoice>> Prefixes;
-          Ex.splitWork(Prefixes, size_t(Jobs) * 2);
-          if (!Prefixes.empty()) {
-            size_t Donated = Prefixes.size();
-            std::vector<WorkItem> Items;
-            Items.reserve(Donated);
-            for (auto &P : Prefixes)
-              Items.push_back(WorkItem{std::move(P)});
-            SH.registerItems(Donated);
-            MyDeque.publishTop(std::move(Items));
-            // Lock-free wake; a miss is bounded by the park timeout.
-            SH.Injector.notifyAll();
-            if (WCtr) {
-              WCtr->add(obs::Counter::PrefixesDonated, Donated);
-              WCtr->setGauge(obs::Gauge::WorkQueueDepth, MyDeque.size());
-            }
-            if (Sink) {
-              obs::ObsEvent Ev;
-              Ev.Kind = obs::EventKind::Donation;
-              Ev.Worker = unsigned(WorkerId);
-              Ev.Ts = Ex.obsClock();
-              Ev.ArgA = Donated;
-              Sink->event(Ev);
-            }
-          }
-        }
-        return true;
-      });
 
-      CheckResult R = E.run();
+      // Items start their PRNG from the seed, whoever runs them.
+      E.setRngState(Opts.Seed);
+      const size_t Len = Item->Prefix.size();
+      Explorer::UnitEnd End =
+          E.runUnit({std::move(Item->Prefix), Len}, /*Budget=*/0, Seconds);
       SH.Active[Self].store(false, std::memory_order_relaxed);
-      if (R.Stats.TimedOut) {
+      if (End == Explorer::UnitEnd::TimedOut) {
         // The per-item remaining budget ran out mid-execution; that is
         // the shared deadline expiring, so stop the whole search.
         SH.GlobalTimeout.store(true, std::memory_order_relaxed);
         SH.requestStop();
       }
-      if (R.Bug) {
+      // Offered when the item ends, so first-bug pruning sees it at once;
+      // everything else stays pending in the explorer.
+      if (std::optional<BugReport> Bug = E.takeBug()) {
         CountLock();
-        SH.offerBug(*R.Bug);
+        SH.offerBug(*Bug);
       }
-      // Worker-local accumulation -- the per-item merge lock is gone.
-      mergeSearchStats(LStats, R.Stats);
-      if (R.Profile) {
-        if (!LProfile)
-          LProfile = R.Profile;
-        else
-          LProfile->merge(*R.Profile);
-      }
-      if (!E.seenStates().empty())
-        LStates.insert(E.seenStates().begin(), E.seenStates().end());
-      for (const BugReport &I : R.Incidents)
-        if (I.Kind != Verdict::DataRace || LRaceKeys.insert(I.Message).second)
-          LRaceIncidents.push_back(I);
-      Clock = E.obsClock();
       if (WCtr) {
         WCtr->setGauge(obs::Gauge::ActiveWorkers, 0);
         WCtr->setGauge(obs::Gauge::WorkQueueDepth, MyDeque.size());
@@ -492,8 +465,8 @@ CheckResult ParallelExplorer::run() {
     {
       CountLock();
       std::lock_guard<std::mutex> Lock(SH.MergeM);
-      SH.Acc.commit(LStats, LStates, LRaceIncidents);
-      SH.Acc.mergeProfile(LProfile);
+      Attempt A = E.take();
+      SH.Acc.commit(A);
     }
     if (WCtr) {
       WCtr->add(obs::Counter::MergeNs,

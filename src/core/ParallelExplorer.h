@@ -14,7 +14,7 @@
 /// is a pure function of its choice sequence, so any subtree of the
 /// choice tree can be explored by whoever holds the prefix that reaches
 /// it. A work item is such a prefix; a worker replays it (the frozen
-/// prefix of Explorer::preloadSchedule), then runs the ordinary serial
+/// prefix of Explorer::runUnit), then runs the ordinary serial
 /// DFS strictly below it. Workers whose queue runs hungry receive
 /// donations: a busy worker carves the unexplored sibling alternatives
 /// off the *shallowest* record of its DFS stack -- the largest subtrees

@@ -9,6 +9,29 @@
 
 using namespace fsmc;
 
+namespace {
+
+/// Resolves the Counter column of FSMC_SEARCH_STATS.
+namespace fold {
+using enum obs::Counter;
+constexpr obs::Counter None = NumCounters;
+} // namespace fold
+
+/// Counts unit-local stats into a live counter shard, so --stats-json
+/// counters and the progress line keep working when executions happen in
+/// another process. RacesFound has no counter row: commit bumps it per
+/// globally novel race.
+void foldIntoCounters(obs::WorkerCounters &Ctr, const SearchStats &S) {
+#define FSMC_FOLD(Field, M, Key, Json, Ckpt, C)                                \
+  if (fold::C != fold::None && S.Field > 0)                                    \
+    Ctr.add(fold::C, uint64_t(S.Field));
+  FSMC_SEARCH_STATS(FSMC_FOLD)
+#undef FSMC_FOLD
+  Ctr.maxGauge(obs::Gauge::MaxDepth, S.MaxDepth);
+}
+
+} // namespace
+
 bool fsmc::dfsBefore(const std::vector<int> &A, const std::vector<int> &B) {
   size_t N = std::min(A.size(), B.size());
   for (size_t I = 0; I < N; ++I)
@@ -26,10 +49,7 @@ std::vector<int> fsmc::pathKey(const std::vector<ScheduleChoice> &P) {
 }
 
 bool BestBug::offer(const BugReport &B) {
-  std::vector<ScheduleChoice> Choices;
-  if (!decodeSchedule(B.Schedule, Choices))
-    Choices.clear();
-  std::vector<int> K = pathKey(Choices);
+  std::vector<int> K = schedulePathKey(B.Schedule);
   if (Has && (FirstWins || !dfsBefore(K, Key)))
     return false;
   Has = true;
@@ -43,7 +63,10 @@ ResultAccumulator::ResultAccumulator(const CheckerOptions &Opts,
                                      obs::WorkerCounters *Ctr)
     : Stats(Base.Stats), Opts(Opts), Ctr(Ctr),
       RaceBase(Base.Stats.RacesFound),
-      Seen(Base.States.begin(), Base.States.end()) {
+      Lookups(Base.States.size() + Base.Stats.StateHits) {
+  Seen.reserve(Base.States.size());
+  for (uint64_t S : Base.States)
+    Seen.insert(S);
   Stats.TimedOut = Stats.ExecutionCapHit = Stats.SearchExhausted =
       Stats.Interrupted = false;
   Stats.Seconds = 0;
@@ -52,34 +75,48 @@ ResultAccumulator::ResultAccumulator(const CheckerOptions &Opts,
     Best.offer(*Base.Bug);
 }
 
-void ResultAccumulator::commitStatsAndIncidents(
-    const SearchStats &S, const std::vector<BugReport> &Incidents) {
-  // Attempt stats are unit-local (each attempt starts from zero), so the
-  // delta folded into the live counters is the stats themselves.
-  foldStatsDeltaIntoCounters(Ctr, SearchStats{}, S);
-  mergeSearchStats(Stats, S);
-  // Each attempt dedups races only within itself, so the same race
+bool ResultAccumulator::commit(Attempt &A) {
+  // Attempt-local execution indices become search-wide ones.
+  const uint64_t Base = Stats.Executions;
+  if (Ctr)
+    foldIntoCounters(*Ctr, A.Stats);
+  mergeSearchStats(Stats, A.Stats);
+  Lookups += A.States.size() + A.Stats.StateHits;
+  for (uint64_t S : A.States)
+    Seen.insert(S);
+  // An attempt counts hits against its own explorer's table, which may
+  // lack signatures other attempts found; the lookup total does not
+  // depend on how the search was split.
+  Stats.StateHits = Lookups - Seen.size();
+  // Each explorer dedups races only within itself, so the same race
   // arriving from two attempts collapses here. Races found before a
   // checkpoint are not keyed in it, so a resumed run may recount them
   // (docs/RACES.md).
-  for (const BugReport &I : Incidents)
+  for (BugReport &I : A.Incidents)
     if (I.Kind != Verdict::DataRace || RaceKeys.insert(I.Message).second) {
       if (I.Kind == Verdict::DataRace && Ctr)
         Ctr->add(obs::Counter::RacesFound);
-      Races.push_back(I);
+      I.AtExecution += Base;
+      Races.push_back(std::move(I));
     }
   if (Opts.Races != RaceCheckMode::Off)
     Stats.RacesFound = RaceBase + RaceKeys.size();
-}
-
-void ResultAccumulator::mergeProfile(
-    const std::shared_ptr<obs::SearchProfile> &P) {
-  if (!P)
-    return;
-  if (!Profile)
-    Profile = P;
-  else
-    Profile->merge(*P);
+  if (A.Profile) {
+    if (!Profile)
+      Profile = std::move(A.Profile);
+    else
+      Profile->merge(*A.Profile);
+  }
+  if (!A.Bug)
+    return false;
+  A.Bug->AtExecution += Base;
+  if (Ctr && A.Bug->Kind == Verdict::Deadlock)
+    Ctr->add(obs::Counter::Deadlocks);
+  else if (Ctr && A.Bug->Kind == Verdict::Livelock)
+    Ctr->add(obs::Counter::Livelocks);
+  else if (Ctr && A.Bug->Kind == Verdict::GoodSamaritanViolation)
+    Ctr->add(obs::Counter::GoodSamaritanViolations);
+  return Best.offer(*A.Bug);
 }
 
 void ResultAccumulator::addCrash(BugReport I, bool Replayable) {

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Committed-result logic for the engines that split a search into
-/// attempts (the parallel explorer's epoch merge, the fleet and its
-/// isolated rung): stats merge, coverage union, race dedup against a
-/// checkpoint's RacesFound base, the DFS-smallest bug, crash incidents
-/// with the stand-in verdict, checkpoint assembly. Not thread-safe.
+/// Committed-result logic, shared by every engine: explorers hand back
+/// unit-local Attempts, and the accumulator is the only place they turn
+/// into a CheckResult or a CheckpointState -- stats merge, coverage union
+/// and lookup count, race dedup against a checkpoint's RacesFound base,
+/// the DFS-smallest bug, crash incidents with the stand-in verdict,
+/// checkpoint assembly. Not thread-safe.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +19,10 @@
 #define FSMC_CORE_RESULTACCUMULATOR_H
 
 #include "core/Checkpoint.h"
+#include "support/U64Set.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -57,6 +60,23 @@ struct BestBug {
   }
 };
 
+/// What an explorer hands back (Explorer::take) and a fleet UnitDone
+/// record carries. Unit-local: the stats start from zero, and execution
+/// indices count from the attempt's first execution until commit.
+struct Attempt {
+  bool TimedOut = false; ///< The attempt's own time budget expired.
+  uint64_t Rng = 0;      ///< PRNG state at hand-back (serial and isolated
+                         ///< runs chain it).
+  SearchStats Stats;
+  std::optional<BugReport> Bug; ///< The attempt's first bug.
+  std::vector<BugReport> Incidents; ///< Data races, deduplicated.
+  /// Signatures new to the explorer's coverage table, in insertion order.
+  /// Every other lookup is one of Stats.StateHits.
+  std::vector<uint64_t> States;
+  std::vector<CheckpointUnit> Rem; ///< Unexplored remainder of the unit.
+  std::shared_ptr<obs::SearchProfile> Profile; ///< Stays in-process.
+};
+
 class ResultAccumulator {
 public:
   /// Starts from \p Base's committed stats, coverage and bug. Committed
@@ -68,21 +88,18 @@ public:
   SearchStats Stats;
   BestBug Best;
 
-  /// Commits one attempt: its unit-local stats, the coverage signatures
-  /// it saw, and its incidents, with data races deduplicated by message.
-  template <typename StateRange>
-  void commit(const SearchStats &S, const StateRange &States,
-              const std::vector<BugReport> &Incidents) {
-    Seen.insert(States.begin(), States.end());
-    commitStatsAndIncidents(S, Incidents);
-  }
-  void mergeProfile(const std::shared_ptr<obs::SearchProfile> &P);
+  /// Commits one attempt's stats, signatures, incidents (data races
+  /// deduplicated by message), profile and bug; its execution indices
+  /// become search-wide. Rem, Rng and TimedOut are the caller's. Touches
+  /// Best only when \p A carries a bug. \returns true when that bug
+  /// became the best.
+  bool commit(Attempt &A);
   /// Records a crash or hang incident at the current execution count and
   /// bumps its stat. An incident whose schedule is not known to reproduce
   /// it (\p Replayable false) is listed after the others.
   void addCrash(BugReport I, bool Replayable = true);
 
-  const std::unordered_set<uint64_t> &states() const { return Seen; }
+  const U64Set &states() const { return Seen; }
 
   /// The committed search plus \p Frontier, as a resumable checkpoint.
   std::shared_ptr<CheckpointState>
@@ -96,13 +113,13 @@ public:
                      double Seconds);
 
 private:
-  void commitStatsAndIncidents(const SearchStats &S,
-                               const std::vector<BugReport> &Incidents);
-
   const CheckerOptions &Opts;
   obs::WorkerCounters *Ctr;
   const uint64_t RaceBase;
-  std::unordered_set<uint64_t> Seen;
+  U64Set Seen;
+  /// Signature lookups, committed and base: StateHits = Lookups - |Seen|,
+  /// whichever way the search was split into attempts.
+  uint64_t Lookups;
   std::unordered_set<std::string> RaceKeys;
   std::vector<BugReport> Races;
   std::vector<BugReport> Crashes, Unreplayable;

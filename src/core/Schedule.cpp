@@ -77,10 +77,10 @@ std::string fsmc::encodeSchedule(const std::vector<ScheduleChoice> &Choices) {
   return Out;
 }
 
-bool fsmc::decodeSchedule(const std::string &Text,
-                          std::vector<ScheduleChoice> &Out,
-                          std::string *Why) {
-  Out.clear();
+/// Parses \p Text record by record, handing each to \p Each.
+template <typename F>
+static bool forEachChoice(const std::string &Text, std::string *Why,
+                          F Each) {
   std::string_view S = Text;
   std::string_view Prefix = SchedulePrefix;
   if (S.substr(0, Prefix.size()) != Prefix) {
@@ -94,17 +94,35 @@ bool fsmc::decodeSchedule(const std::string &Text,
   for (size_t Rec = 0;; ++Rec) {
     size_t Semi = S.find(';');
     std::string_view Tok = S.substr(0, Semi);
-    if (!decodeChoice(Tok, Out.emplace_back())) {
+    ScheduleChoice C;
+    if (!decodeChoice(Tok, C)) {
       if (Why)
         *Why = "record " + std::to_string(Rec) + " '" + std::string(Tok) +
                "' is not chosen/options with 0 <= chosen < options and "
                "options >= 2";
       return false;
     }
+    Each(C);
     if (Semi == std::string_view::npos)
       return true;
     S.remove_prefix(Semi + 1);
   }
+}
+
+bool fsmc::decodeSchedule(const std::string &Text,
+                          std::vector<ScheduleChoice> &Out,
+                          std::string *Why) {
+  Out.clear();
+  return forEachChoice(Text, Why,
+                       [&](const ScheduleChoice &C) { Out.push_back(C); });
+}
+
+std::vector<int> fsmc::schedulePathKey(const std::string &Text) {
+  std::vector<int> Key;
+  if (!forEachChoice(Text, nullptr,
+                     [&](const ScheduleChoice &C) { Key.push_back(C.Chosen); }))
+    Key.clear();
+  return Key;
 }
 
 CheckResult fsmc::replaySchedule(const TestProgram &Program,

@@ -71,6 +71,11 @@ std::string encodeSchedule(const std::vector<ScheduleChoice> &Choices);
 bool decodeSchedule(const std::string &Text, std::vector<ScheduleChoice> &Out,
                     std::string *Why = nullptr);
 
+/// The Chosen values of schedule \p Text -- its position in DFS order --
+/// without materialising its records (a livelock schedule has as many as
+/// the execution bound); empty when \p Text is malformed.
+std::vector<int> schedulePathKey(const std::string &Text);
+
 /// Re-executes \p Program once under the recorded \p Schedule (typically
 /// BugReport::Schedule) and reports that single execution's outcome.
 /// The options must match the original run's semantics-affecting knobs

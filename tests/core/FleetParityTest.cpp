@@ -31,6 +31,7 @@
 #include <cstdlib>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -229,6 +230,45 @@ TEST(FleetParity, RaceIncidentsDedupAcrossWorkers) {
   CheckResult F =
       check(makeCrashFaultProgram(C), fleetOpts(Base, 4, /*Batch=*/4));
   expectExactlyEqual(F, Serial);
+}
+
+TEST(FleetParity, StateHitsCountEveryLookupOnEveryEngine) {
+  // Every coverage lookup finds a new distinct state or is a hit, however
+  // the search was split into attempts: with one lookup per transition
+  // and no divergence, distinct states plus hits equal the transitions,
+  // and every engine reports the serial numbers.
+  ChaosEnv Clean(nullptr);
+  TestProgram P = registryProgram("dining-philosophers");
+  CheckerOptions O;
+  O.Kind = SearchKind::ContextBounded;
+  O.ContextBound = 2;
+  O.TrackCoverage = true;
+  CheckResult Serial = check(P, O);
+  ASSERT_TRUE(Serial.Stats.SearchExhausted);
+  ASSERT_EQ(Serial.Stats.Divergences, 0u);
+  EXPECT_EQ(Serial.Stats.DistinctStates + Serial.Stats.StateHits,
+            Serial.Stats.Transitions);
+
+  std::vector<std::pair<const char *, CheckerOptions>> Engines;
+  for (int Jobs : {2, 4}) {
+    CheckerOptions J = O;
+    J.Jobs = Jobs;
+    Engines.push_back({Jobs == 2 ? "jobs=2" : "jobs=4", J});
+  }
+  Engines.push_back({"fleet=2", fleetOpts(O, 2)});
+  CheckerOptions Iso = O;
+  Iso.Isolate = IsolationMode::Batch;
+  Engines.push_back({"isolate=batch", Iso});
+  for (const auto &[Name, EO] : Engines) {
+    SCOPED_TRACE(Name);
+    CheckResult R = check(P, EO);
+    ASSERT_TRUE(R.Stats.SearchExhausted);
+    EXPECT_EQ(R.Stats.DistinctStates + R.Stats.StateHits,
+              R.Stats.Transitions);
+    EXPECT_EQ(R.Stats.Transitions, Serial.Stats.Transitions);
+    EXPECT_EQ(R.Stats.DistinctStates, Serial.Stats.DistinctStates);
+    EXPECT_EQ(R.Stats.StateHits, Serial.Stats.StateHits);
+  }
 }
 
 //===----------------------------------------------------------------------===//

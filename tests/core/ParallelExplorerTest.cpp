@@ -238,9 +238,10 @@ TEST(ParallelFairness, LivelockFoundFromNonemptyFrozenPrefix) {
   // Freeze the first four choices; the livelock lives in this subtree.
   Choices.resize(4);
   Explorer Sub(P, O);
-  Sub.preloadSchedule(Choices, /*Frozen=*/true);
-  CheckResult R = Sub.run();
-  EXPECT_EQ(R.Kind, Verdict::Livelock);
+  Sub.runUnit({Choices, Choices.size()});
+  Attempt R = Sub.take();
+  ASSERT_TRUE(R.Bug.has_value());
+  EXPECT_EQ(R.Bug->Kind, Verdict::Livelock);
   // The reported schedule must still be root-relative and replayable.
   CheckResult Replay = replaySchedule(P, O, R.Bug->Schedule);
   EXPECT_EQ(Replay.Kind, Verdict::Livelock);
@@ -262,9 +263,9 @@ TEST(ParallelFairness, FrozenPrefixConfinesTheSearch) {
   // freezing one choice confines the search to half the tree.
   Explorer Sub(P, O);
   std::vector<ScheduleChoice> Prefix = {{0, 2, true}};
-  Sub.preloadSchedule(Prefix, /*Frozen=*/true);
-  CheckResult R = Sub.run();
-  EXPECT_TRUE(R.Stats.SearchExhausted);
+  EXPECT_EQ(Sub.runUnit({Prefix, Prefix.size()}),
+            Explorer::UnitEnd::Exhausted);
+  Attempt R = Sub.take();
   EXPECT_LT(R.Stats.Executions, Whole.Stats.Executions);
   EXPECT_GE(R.Stats.Executions, 1u);
 }

@@ -14,9 +14,12 @@
 //    the tree-scoped event multiset all match the serial run.
 //
 //  * POR composes with execution-state reuse: recycling runtimes under
-//    --por=on stays observationally invisible.
+//    --por=on stays observationally invisible -- every execution of the
+//    search replays to the same events in a fresh checker.
 //
 //===----------------------------------------------------------------------===//
+
+#include "FreshReplay.h"
 
 #include "core/Checker.h"
 #include "obs/EventSink.h"
@@ -148,22 +151,13 @@ TEST(PorDeterminism, ParallelWidthsAgreeWithSerial) {
 }
 
 TEST(PorDeterminism, ComposesWithExecutionStateReuse) {
-  CheckerOptions On = porOptions();
-  On.ReuseExecutionState = true;
-  const std::string OnPath = tempPath("por_reuse_on.json");
-  CheckResult A = runWithTrace(diningMixed(), On, OnPath);
-
-  CheckerOptions Off = porOptions();
-  Off.ReuseExecutionState = false;
-  const std::string OffPath = tempPath("por_reuse_off.json");
-  CheckResult B = runWithTrace(diningMixed(), Off, OffPath);
-
-  ASSERT_TRUE(A.Stats.SearchExhausted);
-  ASSERT_TRUE(B.Stats.SearchExhausted);
-  std::string OnTrace = slurp(OnPath);
-  ASSERT_FALSE(OnTrace.empty());
-  EXPECT_EQ(OnTrace, slurp(OffPath));
-  EXPECT_EQ(normalizedStatsJson(A, On), normalizedStatsJson(B, Off));
+  CheckerOptions O = porOptions();
+  Attempt Whole = test::expectExecutionsMatchFreshReplays(diningMixed(), O);
+  CheckResult R = check(diningMixed(), O);
+  ASSERT_TRUE(R.Stats.SearchExhausted);
+  EXPECT_EQ(Whole.Stats.Executions, R.Stats.Executions);
+  EXPECT_EQ(Whole.Stats.PorBranchesPruned, R.Stats.PorBranchesPruned);
+  EXPECT_GT(Whole.Stats.PorSleepHits, 0u);
 }
 
 TEST(PorDeterminism, BugScheduleStableUnderPor) {

@@ -236,11 +236,17 @@ FuzzOutcome explore(const FuzzSpec &Spec, bool Por, uint64_t ExecCap) {
     }
     return true;
   });
-  CheckResult R = E.run();
+  Explorer::UnitEnd End = E.runUnit(CheckpointUnit(), ExecCap);
+  ResultAccumulator Acc(O, CheckpointState());
+  Attempt A = E.take();
+  Acc.commit(A);
+  CheckResult R = Acc.finish(End == Explorer::UnitEnd::Budget,
+                             /*TimedOut=*/false, /*Interrupted=*/false,
+                             /*Seconds=*/0);
   EXPECT_EQ(R.Kind, Verdict::Pass)
       << "fuzz programs are pass-only; got " << verdictName(R.Kind);
   Out.Stats = R.Stats;
-  Out.Exhausted = R.Stats.SearchExhausted;
+  Out.Exhausted = End == Explorer::UnitEnd::Exhausted;
   return Out;
 }
 

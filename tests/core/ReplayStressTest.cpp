@@ -66,14 +66,13 @@ TEST(ReplayStress, HundredRandomSeedsReplayExactly) {
     std::vector<ScheduleChoice> Choices;
     ASSERT_TRUE(decodeSchedule(R.Bug->Schedule, Choices));
     CheckerOptions ReplayOpts;
-    ReplayOpts.MaxExecutions = 1;
     ReplayOpts.Seed = Seed + 1;
     Explorer E(P, ReplayOpts);
-    E.preloadSchedule(Choices);
-    CheckResult Replay = E.run();
+    E.runUnit({Choices, /*FrozenLen=*/0}, /*Budget=*/1);
+    Attempt Replay = E.take();
 
-    ASSERT_EQ(Replay.Kind, R.Kind);
     ASSERT_TRUE(Replay.Bug.has_value());
+    ASSERT_EQ(Replay.Bug->Kind, R.Kind);
     EXPECT_EQ(Replay.Bug->AtStep, R.Bug->AtStep);
     EXPECT_EQ(Replay.Bug->Message, R.Bug->Message);
     EXPECT_EQ(Replay.Stats.Executions, 1u);

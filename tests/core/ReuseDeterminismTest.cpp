@@ -1,19 +1,23 @@
 //===- tests/core/ReuseDeterminismTest.cpp --------------------------------===//
 //
-// Pins the invisibility contract of CheckerOptions::ReuseExecutionState
-// (docs/PERFORMANCE.md): recycling runtimes and pooling fiber stacks is
-// a pure hot-path optimization, so a search run with reuse on must be
-// observationally indistinguishable from the same search with reuse off
-// -- byte-identical event trace and stats-json at jobs=1, and identical
-// normalized event multiset plus stats-json at jobs=4 (where only worker
-// interleaving, never the explored tree, may differ between runs).
+// Pins the invisibility contract of execution-state recycling
+// (docs/PERFORMANCE.md): an explorer runs every execution of a search on
+// one Runtime rewound by reset(), with pooled fiber stacks, and that must
+// be observationally indistinguishable from a fresh Runtime. At jobs=1
+// every execution of the search is replayed in a fresh checker and must
+// emit the same normalised events (tests/core/FreshReplay.h); at jobs=4,
+// where each worker recycles its own Runtime across items, the
+// normalised event multiset and stats-json must equal the serial run's.
 //
 // The stats-json comparison normalizes the one wall-clock field
-// ("seconds") and renders without an Observer: per-worker work-stealing
-// counters (items popped, prefixes donated) legitimately vary run to run
-// at jobs > 1, while everything SearchStats holds must not.
+// ("seconds"), renders without an Observer and echoes the serial run's
+// options: per-worker work-stealing counters (items popped, prefixes
+// donated) legitimately vary run to run at jobs > 1, while everything
+// SearchStats holds must not.
 //
 //===----------------------------------------------------------------------===//
+
+#include "FreshReplay.h"
 
 #include "core/Checker.h"
 #include "obs/EventSink.h"
@@ -26,8 +30,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 using namespace fsmc;
 using namespace fsmc::obs;
@@ -36,13 +38,6 @@ namespace {
 
 std::string tempPath(const std::string &Name) {
   return testing::TempDir() + Name;
-}
-
-std::string slurp(const std::string &Path) {
-  std::ifstream F(Path, std::ios::binary);
-  std::ostringstream S;
-  S << F.rdbuf();
-  return S.str();
 }
 
 CheckResult runWithTrace(const TestProgram &Program, CheckerOptions Opts,
@@ -91,23 +86,11 @@ TEST(ReuseDeterminism, SerialTraceAndStatsByteIdentical) {
   CheckerOptions O;
   O.Kind = SearchKind::ContextBounded;
   O.ContextBound = 2;
-  O.Jobs = 1;
 
-  const std::string OnPath = tempPath("reuse_on_jobs1.json");
-  const std::string OffPath = tempPath("reuse_off_jobs1.json");
-  O.ReuseExecutionState = true;
-  CheckResult On = runWithTrace(makePetersonProgram(C), O, OnPath);
-  CheckerOptions OOff = O;
-  OOff.ReuseExecutionState = false;
-  CheckResult Off = runWithTrace(makePetersonProgram(C), OOff, OffPath);
-
-  ASSERT_TRUE(On.Stats.SearchExhausted);
-  ASSERT_TRUE(Off.Stats.SearchExhausted);
-
-  std::string OnTrace = slurp(OnPath);
-  ASSERT_FALSE(OnTrace.empty());
-  EXPECT_EQ(OnTrace, slurp(OffPath));
-  EXPECT_EQ(normalizedStatsJson(On, O), normalizedStatsJson(Off, OOff));
+  TestProgram P = makePetersonProgram(C);
+  Attempt Whole = test::expectExecutionsMatchFreshReplays(P, O);
+  EXPECT_EQ(Whole.Stats.Executions, check(P, O).Stats.Executions);
+  EXPECT_FALSE(Whole.Bug.has_value());
 }
 
 TEST(ReuseDeterminism, SerialBugTraceByteIdentical) {
@@ -124,24 +107,20 @@ TEST(ReuseDeterminism, SerialBugTraceByteIdentical) {
   // also pins reuse-determinism of the store-buffer machinery itself.
   O.Memory = MemoryModel::Tso;
 
-  const std::string OnPath = tempPath("reuse_on_bug.json");
-  const std::string OffPath = tempPath("reuse_off_bug.json");
-  O.ReuseExecutionState = true;
-  CheckResult On = runWithTrace(makeWsqProgram(C), O, OnPath);
-  CheckerOptions OOff = O;
-  OOff.ReuseExecutionState = false;
-  CheckResult Off = runWithTrace(makeWsqProgram(C), OOff, OffPath);
-
-  ASSERT_TRUE(On.foundBug());
-  ASSERT_TRUE(Off.foundBug());
-  ASSERT_TRUE(On.Bug && Off.Bug);
-  EXPECT_EQ(On.Bug->Schedule, Off.Bug->Schedule);
-  EXPECT_EQ(On.Bug->AtExecution, Off.Bug->AtExecution);
-
-  std::string OnTrace = slurp(OnPath);
-  ASSERT_FALSE(OnTrace.empty());
-  EXPECT_EQ(OnTrace, slurp(OffPath));
-  EXPECT_EQ(normalizedStatsJson(On, O), normalizedStatsJson(Off, OOff));
+  TestProgram P = makeWsqProgram(C);
+  Attempt Whole = test::expectExecutionsMatchFreshReplays(P, O);
+  CheckResult R = check(P, O);
+  ASSERT_TRUE(R.foundBug());
+  ASSERT_TRUE(Whole.Bug && R.Bug);
+  EXPECT_EQ(Whole.Bug->Schedule, R.Bug->Schedule);
+  EXPECT_EQ(Whole.Bug->AtExecution, R.Bug->AtExecution);
+  // The bug execution replays to the same bug in a fresh checker.
+  CheckResult Replay = replaySchedule(P, O, R.Bug->Schedule);
+  ASSERT_TRUE(Replay.Bug);
+  EXPECT_EQ(Replay.Kind, R.Kind);
+  EXPECT_EQ(Replay.Bug->Message, R.Bug->Message);
+  EXPECT_EQ(Replay.Bug->AtStep, R.Bug->AtStep);
+  EXPECT_EQ(Replay.Bug->TraceText, R.Bug->TraceText);
 }
 
 TEST(ReuseDeterminism, ParallelMultisetAndStatsIdentical) {
@@ -149,25 +128,23 @@ TEST(ReuseDeterminism, ParallelMultisetAndStatsIdentical) {
   CheckerOptions O;
   O.Kind = SearchKind::ContextBounded;
   O.ContextBound = 2;
-  O.Jobs = 4;
 
-  const std::string OnPath = tempPath("reuse_on_jobs4.json");
-  const std::string OffPath = tempPath("reuse_off_jobs4.json");
-  O.ReuseExecutionState = true;
-  CheckResult On = runWithTrace(makePetersonProgram(C), O, OnPath);
-  CheckerOptions OOff = O;
-  OOff.ReuseExecutionState = false;
-  CheckResult Off = runWithTrace(makePetersonProgram(C), OOff, OffPath);
+  const std::string SerialPath = tempPath("reuse_jobs1.json");
+  const std::string ParPath = tempPath("reuse_jobs4.json");
+  CheckResult Serial = runWithTrace(makePetersonProgram(C), O, SerialPath);
+  CheckerOptions Par = O;
+  Par.Jobs = 4;
+  CheckResult P = runWithTrace(makePetersonProgram(C), Par, ParPath);
 
-  ASSERT_TRUE(On.Stats.SearchExhausted);
-  ASSERT_TRUE(Off.Stats.SearchExhausted);
-  EXPECT_EQ(On.Stats.Executions, Off.Stats.Executions);
-  EXPECT_EQ(On.Stats.Transitions, Off.Stats.Transitions);
+  ASSERT_TRUE(Serial.Stats.SearchExhausted);
+  ASSERT_TRUE(P.Stats.SearchExhausted);
+  EXPECT_EQ(P.Stats.Executions, Serial.Stats.Executions);
+  EXPECT_EQ(P.Stats.Transitions, Serial.Stats.Transitions);
 
-  std::vector<std::string> Expected = normalizedMultiset(OnPath);
+  std::vector<std::string> Expected = normalizedMultiset(SerialPath);
   ASSERT_FALSE(Expected.empty());
-  EXPECT_EQ(normalizedMultiset(OffPath), Expected);
-  EXPECT_EQ(normalizedStatsJson(On, O), normalizedStatsJson(Off, OOff));
+  EXPECT_EQ(normalizedMultiset(ParPath), Expected);
+  EXPECT_EQ(normalizedStatsJson(P, O), normalizedStatsJson(Serial, O));
 }
 
 } // namespace

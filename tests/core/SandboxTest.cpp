@@ -12,6 +12,7 @@
 
 #include "core/Checkpoint.h"
 #include "core/Schedule.h"
+#include "runtime/Runtime.h"
 #include "workloads/CrashFault.h"
 #include "workloads/DiningPhilosophers.h"
 #include "workloads/Peterson.h"
@@ -225,4 +226,40 @@ TEST(Sandbox, CrashesAreCountedButDoNotAbortStopOnFirstBugSearches) {
   CheckResult R = check(P, O);
   EXPECT_TRUE(R.Stats.SearchExhausted);
   EXPECT_GT(R.Stats.Crashes, 1u);
+}
+
+TEST(Sandbox, BugFoundBeforeACrashSurvivesTheCrash) {
+  // The child streams its first bug ahead of the execution's progress
+  // record, so a later crash in the same batch cannot take the bug with
+  // it: execution 0 fails its check, execution 1 dies, execution 2 runs
+  // after the crash.
+  TestProgram P;
+  P.Name = "bug-then-crash";
+  P.Body = [] {
+    switch (Runtime::current().chooseInt(3)) {
+    case 0:
+      checkThat(false, "choice 0 is wrong");
+      break;
+    case 1: {
+      volatile int *Null = nullptr;
+      *Null = 1;
+      break;
+    }
+    default:
+      break;
+    }
+  };
+  CheckerOptions O = isolated();
+  O.StopOnFirstBug = false;
+  CheckResult R = check(P, O);
+  EXPECT_EQ(R.Kind, Verdict::SafetyViolation);
+  ASSERT_TRUE(R.Bug.has_value());
+  EXPECT_EQ(R.Bug->Message, "choice 0 is wrong");
+  EXPECT_EQ(R.Bug->AtExecution, 0u);
+  EXPECT_EQ(R.Stats.Crashes, 1u);
+  ASSERT_EQ(R.Incidents.size(), 1u);
+  EXPECT_EQ(R.Incidents.front().Kind, Verdict::Crash);
+  EXPECT_EQ(R.Stats.Executions, 2u);
+  EXPECT_EQ(R.Stats.BugsFound, 1u);
+  EXPECT_TRUE(R.Stats.SearchExhausted);
 }

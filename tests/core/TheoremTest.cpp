@@ -36,6 +36,13 @@ struct FairTerminationCase {
   int Spinners;
 };
 
+/// Prints the case by name. gtest's default byte dump embeds the Name
+/// pointer, which moves with address-space randomisation, so the listed
+/// (and ctest-discovered) test names would change from run to run.
+static void PrintTo(const FairTerminationCase &Case, std::ostream *OS) {
+  *OS << Case.Name;
+}
+
 class Theorem2Test : public ::testing::TestWithParam<FairTerminationCase> {};
 
 TEST_P(Theorem2Test, FairSearchExhaustsFairTerminatingPrograms) {

@@ -7,11 +7,9 @@
 // and writes one machine-readable BENCH_<PR>.json at the repo root so
 // every revision leaves a perf trajectory the next one can diff against.
 //
-// The micro section measures the same workload twice, with execution-
-// state reuse off (the pre-pooling hot path: a fresh Runtime plus
-// mmap/munmap per fiber stack per execution) and on (pooled stacks +
-// Runtime::reset), so the report carries its own baseline: "speedup" is
-// pooled over baseline on identical code, hardware and build flags.
+// The micro section measures the pooled hot path (one Runtime rewound by
+// Runtime::reset, pooled fiber stacks) under the row name earlier
+// reports used, so the trajectory stays comparable.
 //
 // The por section measures the sleep-set reduction (docs/POR.md) on two
 // searches run --por off then on: the micro spin-wait exhaustive DFS
@@ -102,11 +100,10 @@ struct Meas {
 /// Repeats the micro_scheduler end-to-end workload -- an exhaustive fair
 /// DFS over the Figure 3 spin-wait program, the highest executions/sec
 /// path in the checker -- until \p BudgetSeconds elapses.
-Meas measureMicro(bool Reuse, double BudgetSeconds) {
+Meas measureMicro(double BudgetSeconds) {
   SpinWaitConfig C;
   CheckerOptions O;
   O.DetectDivergence = false;
-  O.ReuseExecutionState = Reuse;
   Meas M;
   auto T0 = Clock::now();
   do {
@@ -416,10 +413,8 @@ int main(int Argc, char **Argv) {
   const int FigPhilosophers = 3;
   const double FigBudget = Quick ? 10.0 : 60.0;
 
-  std::fprintf(stderr, "bench_report: micro_scheduler (reuse off)...\n");
-  Meas MicroOff = measureMicro(/*Reuse=*/false, MicroBudget);
-  std::fprintf(stderr, "bench_report: micro_scheduler (reuse on)...\n");
-  Meas MicroOn = measureMicro(/*Reuse=*/true, MicroBudget);
+  std::fprintf(stderr, "bench_report: micro_scheduler...\n");
+  Meas Micro = measureMicro(MicroBudget);
   std::fprintf(stderr, "bench_report: par_speedup jobs=1...\n");
   Meas Par1 = measurePar(ParPhilosophers, 1, ParBudget);
   std::fprintf(stderr, "bench_report: par_speedup jobs=4...\n");
@@ -483,10 +478,6 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr, "bench_report: memory wsq (tso)...\n");
   Meas MemWsqTso = measureMemoryWsq(MemoryModel::Tso, FigBudget);
 
-  double Speedup =
-      MicroOff.ExecsPerSec > 0 ? MicroOn.ExecsPerSec / MicroOff.ExecsPerSec
-                               : 0;
-
   std::string Out;
   Out += "{\n";
   Out += "  \"schema\": 1,\n";
@@ -503,13 +494,7 @@ int main(int Argc, char **Argv) {
   Out += "  \"micro_scheduler\": {\n";
   Out += "    \"workload\": \"spinwait exhaustive fair DFS, repeated for a "
          "fixed budget\",\n";
-  appendMeas(Out, "baseline_reuse_off", MicroOff, 4, true);
-  appendMeas(Out, "pooled_reuse_on", MicroOn, 4, true);
-  {
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), "    \"speedup\": %.2f\n", Speedup);
-    Out += Buf;
-  }
+  appendMeas(Out, "pooled_reuse_on", Micro, 4, false);
   Out += "  },\n";
 
   Out += "  \"par_speedup\": {\n";
@@ -734,10 +719,7 @@ int main(int Argc, char **Argv) {
   }
   std::fwrite(Out.data(), 1, Out.size(), F);
   std::fclose(F);
-  std::fprintf(stderr,
-               "bench_report: wrote %s (micro speedup %.2fx: %.0f -> %.0f "
-               "execs/s)\n",
-               OutPath.c_str(), Speedup, MicroOff.ExecsPerSec,
-               MicroOn.ExecsPerSec);
+  std::fprintf(stderr, "bench_report: wrote %s (micro %.0f execs/s)\n",
+               OutPath.c_str(), Micro.ExecsPerSec);
   return 0;
 }

@@ -32,6 +32,7 @@
 #include "core/Checkpoint.h"
 #include "core/Explorer.h"
 #include "core/IterativeCheck.h"
+#include "core/ResultAccumulator.h"
 #include "core/Schedule.h"
 #include "obs/EventSink.h"
 #include "obs/Explain.h"
@@ -308,10 +309,6 @@ int usage() {
             "check/\n"
             "                   snapshot buckets (shown under timing with "
             "--timing)\n"
-            "  --reuse=on|off   recycle runtime state and pooled fiber "
-            "stacks\n"
-            "                   across executions (default on; off is the\n"
-            "                   measurement baseline, docs/PERFORMANCE.md)\n"
             "  --quiet          suppress the human-readable summary\n"
             "  --verbose        also print the counter and per-op tables\n\n"
             "exit codes: 0 = no bug found, 1 = bug found, 2 = usage "
@@ -444,7 +441,6 @@ int explainOne(const TestProgram &Program, const CheckerOptions &Opts,
     return 2;
   }
   CheckerOptions Effective = Opts;
-  Effective.MaxExecutions = 1;
   Effective.StopOnFirstBug = true;
   Effective.Jobs = 1;
   // In-process always: the explain log borrows runtime state (names) that
@@ -453,8 +449,14 @@ int explainOne(const TestProgram &Program, const CheckerOptions &Opts,
   obs::ExplainLog Log;
   Explorer E(Program, Effective);
   E.setExplainLog(&Log);
-  E.preloadSchedule(Choices, /*Frozen=*/true);
-  CheckResult R = E.run();
+  const size_t Len = Choices.size();
+  bool CapHit = E.runUnit({std::move(Choices), Len}, /*Budget=*/1) ==
+                Explorer::UnitEnd::Budget;
+  ResultAccumulator Acc(Effective, CheckpointState());
+  Attempt A = E.take();
+  Acc.commit(A);
+  CheckResult R = Acc.finish(CapHit, /*TimedOut=*/false,
+                             /*Interrupted=*/false, /*Seconds=*/0);
   finalizeRaces(R, Effective);
   outs() << obs::renderExplainTimeline(Log, R, Program.Name);
   return exitCode(R);
@@ -746,16 +748,6 @@ int main(int Argc, char **Argv) {
         return usage();
       }
       ExplainOperand = V;
-    }
-    else if (parseFlag(Argv[I], "--reuse", &V)) {
-      if (std::strcmp(V, "on") == 0)
-        Opts.ReuseExecutionState = true;
-      else if (std::strcmp(V, "off") == 0)
-        Opts.ReuseExecutionState = false;
-      else {
-        errs() << "--reuse must be 'on' or 'off'\n";
-        return usage();
-      }
     }
     else if (parseFlag(Argv[I], "--quiet", &V))
       Quiet = true;
