@@ -101,9 +101,9 @@ int main() {
   Table.print(outs());
   outs() << '\n';
   std::printf("Each worker owns a private Explorer/Runtime; subtrees are\n"
-              "sharded by frozen schedule prefix and re-balanced by\n"
-              "thief-driven work stealing between per-worker deques, so\n"
-              "executions and state coverage are identical at every jobs\n"
-              "count.\n");
+              "sharded by frozen schedule prefix and re-balanced through\n"
+              "one shared prefix pool that idle workers ask busy ones to\n"
+              "split into, so executions and state coverage are identical\n"
+              "at every jobs count.\n");
   return 0;
 }

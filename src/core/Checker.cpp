@@ -191,7 +191,7 @@ CheckResult fsmc::runFrontier(const TestProgram &Program,
              (Effective.FleetWorkers >= 1 && Shardable)) {
     R = runFleet(Program, Effective, Frontier);
   } else if (Effective.Jobs > 1 && Shardable) {
-    R = ParallelExplorer(Program, Effective, Frontier).run();
+    R = runParallel(Program, Effective, Frontier);
   } else {
     R = runSerial(Program, Effective, Frontier);
   }

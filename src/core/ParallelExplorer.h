@@ -14,12 +14,12 @@
 /// is a pure function of its choice sequence, so any subtree of the
 /// choice tree can be explored by whoever holds the prefix that reaches
 /// it. A work item is such a prefix; a worker replays it (the frozen
-/// prefix of Explorer::runUnit), then runs the ordinary serial
-/// DFS strictly below it. Workers whose queue runs hungry receive
-/// donations: a busy worker carves the unexplored sibling alternatives
-/// off the *shallowest* record of its DFS stack -- the largest subtrees
-/// it owns -- and publishes them as new items (work stealing by
-/// splitting).
+/// prefix of Explorer::runUnit), then runs the ordinary serial DFS
+/// strictly below it. The workers share one locked pool of prefixes. A
+/// worker that finds the pool empty asks for a split, and the first busy
+/// worker to see the request carves the unexplored sibling alternatives
+/// off the *shallowest* records of its DFS stack -- the largest subtrees
+/// it owns -- into the pool.
 ///
 /// The partition is exact -- every complete execution of the serial
 /// search runs on exactly one worker -- so the aggregated execution,
@@ -42,41 +42,23 @@
 
 #include "core/Checker.h"
 
-#include <memory>
-
 namespace fsmc {
 
 struct CheckpointState;
 
-/// Drives one parallel checker run with Opts.Jobs workers.
-class ParallelExplorer {
-public:
-  /// Explores \p Frontier (a fresh search is the one-unit root frontier):
-  /// its units are sharded into fully frozen subtree prefixes
-  /// (decomposeUnitToFrozenPrefixes), and its stats, coverage and first
-  /// bug carry over so a resumed run reports cumulative totals. Random
-  /// walks and stateful pruning do not shard; runFrontier runs them
-  /// serially.
-  ParallelExplorer(const TestProgram &Program, const CheckerOptions &Opts,
-                   const CheckpointState &Frontier);
-  ~ParallelExplorer();
-
-  /// Runs the sharded search to completion (exhaustion, first bug, or a
-  /// shared budget) and returns the aggregated result. Honors
-  /// CheckerOptions::CheckpointEvery / InterruptFlag at epoch granularity:
-  /// workers wind down at the next execution boundary, stash their
-  /// unexplored remainders (splitWork over the whole stack), and the
-  /// driver either writes a checkpoint and requeues the stash or returns
-  /// with CheckResult::Resume.
-  CheckResult run();
-
-private:
-  struct Shared;
-
-  const TestProgram &Program;
-  CheckerOptions Opts;
-  const CheckpointState &Frontier;
-};
+/// Explores \p Frontier with Opts.Jobs worker threads, on top of its
+/// committed stats, coverage and bug (a fresh search is the one-unit root
+/// frontier). Its units are sharded into fully frozen subtree prefixes
+/// (decomposeUnitToFrozenPrefixes). The search runs to exhaustion, first
+/// bug or a shared budget; MaxExecutions is exact. Honors
+/// CheckerOptions::CheckpointEvery / InterruptFlag at epoch granularity:
+/// workers wind down at the next execution boundary and put their
+/// unexplored remainders back into the pool, and the driver either writes
+/// the pool out as a checkpoint and runs the next epoch or returns it as
+/// CheckResult::Resume. Random walks and stateful pruning do not shard;
+/// runFrontier runs them serially.
+CheckResult runParallel(const TestProgram &Program, const CheckerOptions &Opts,
+                        const CheckpointState &Frontier);
 
 } // namespace fsmc
 

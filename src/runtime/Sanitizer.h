@@ -20,7 +20,7 @@
 /// stacks get a fresh handle so two logical fibers never share TSan
 /// state. Without this, TSan sees one OS thread whose stack pointer
 /// teleports and reports garbage. This is what lets the checker's own
-/// concurrency -- the work-stealing parallel engine -- run under the
+/// concurrency -- the parallel engine -- run under the
 /// same sanitizer treatment it gives workloads (ctest preset tsan-par).
 ///
 //===----------------------------------------------------------------------===//

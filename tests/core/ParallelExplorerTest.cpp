@@ -17,6 +17,7 @@
 #include "core/Checkpoint.h"
 #include "core/ParallelExplorer.h"
 #include "core/Schedule.h"
+#include "runtime/Runtime.h"
 #include "workloads/DiningPhilosophers.h"
 #include "workloads/Peterson.h"
 #include "workloads/SpinWait.h"
@@ -137,6 +138,46 @@ TEST(ParallelEquivalence, CountsAllBugsWhenNotStoppingEarly) {
   expectExhaustiveEquivalence(makePetersonProgram(C), O);
 }
 
+TEST(ParallelEquivalence, OneExecutionEndsWithIdleWorkers) {
+  // A tree smaller than the worker count: every other worker waits on an
+  // empty pool, and the search must still end when the one execution
+  // does.
+  TestProgram P;
+  P.Name = "no-choices";
+  P.Body = [] {};
+  expectExhaustiveEquivalence(P, CheckerOptions());
+}
+
+TEST(ParallelEquivalence, ThreeExecutionsEndWithIdleWorkers) {
+  TestProgram P;
+  P.Name = "choose-3";
+  P.Body = [] { Runtime::current().chooseInt(3); };
+  expectExhaustiveEquivalence(P, CheckerOptions());
+}
+
+TEST(ParallelEquivalence, ExecutionCapIsExact) {
+  // Each worker claims an execution's slot before running it, so no
+  // worker finishes an execution past the cap.
+  DiningConfig C;
+  C.Philosophers = 3;
+  C.Kind = DiningConfig::Variant::Mixed;
+  TestProgram P = makeDiningProgram(C);
+  CheckerOptions O;
+  O.Kind = SearchKind::ContextBounded;
+  O.ContextBound = 2;
+  ASSERT_GT(check(P, O).Stats.Executions, 1000u);
+
+  O.MaxExecutions = 1000;
+  for (int Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    O.Jobs = Jobs;
+    CheckResult R = check(P, O);
+    EXPECT_EQ(R.Stats.Executions, 1000u);
+    EXPECT_TRUE(R.Stats.ExecutionCapHit);
+    EXPECT_FALSE(R.Stats.SearchExhausted);
+  }
+}
+
 //===----------------------------------------------------------------------===
 // First-bug determinism: --jobs N reports the serial counterexample.
 //===----------------------------------------------------------------------===
@@ -190,6 +231,36 @@ TEST(ParallelFirstBug, ReportedScheduleReplaysToTheSameBug) {
   EXPECT_EQ(Replay.Kind, R.Kind);
   EXPECT_EQ(Replay.Stats.Executions, 1u);
   EXPECT_EQ(Replay.Bug->Message, R.Bug->Message);
+}
+
+TEST(ParallelFirstBug, BugIndexIsSearchWide) {
+  // Branch 0 runs 64 * 64 clean executions and branch 1 fails at once.
+  // Serial DFS reaches the bug at execution 4096; a worker that took
+  // branch 1 from a split must still report where its execution fell in
+  // the whole search, which is after the first one.
+  TestProgram P;
+  P.Name = "late-bug";
+  P.Body = [] {
+    if (Runtime::current().chooseInt(2) == 0) {
+      Runtime::current().chooseInt(64);
+      Runtime::current().chooseInt(64);
+    } else {
+      checkThat(false, "branch 1 fails");
+    }
+  };
+  CheckerOptions O;
+  CheckResult Serial = check(P, O);
+  ASSERT_TRUE(Serial.Bug.has_value());
+  EXPECT_EQ(Serial.Bug->AtExecution, 4096u);
+  for (int Jobs : JobCounts) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    O.Jobs = Jobs;
+    CheckResult R = check(P, O);
+    ASSERT_TRUE(R.Bug.has_value());
+    EXPECT_EQ(R.Bug->Schedule, Serial.Bug->Schedule);
+    EXPECT_GE(R.Bug->AtExecution, 1u);
+    EXPECT_LT(R.Bug->AtExecution, R.Stats.Executions);
+  }
 }
 
 //===----------------------------------------------------------------------===

@@ -78,7 +78,7 @@ TEST(PorParity, RegistrySweepSerial) { sweepRegistry(/*Jobs=*/1); }
 
 TEST(PorParity, RegistrySweepJobs4) { sweepRegistry(/*Jobs=*/4); }
 
-// More workers than cores: the work-stealing engine's exactness must not
+// More workers than cores: the parallel engine's exactness must not
 // depend on every worker getting a CPU.
 TEST(PorParity, RegistrySweepJobs8) { sweepRegistry(/*Jobs=*/8); }
 

@@ -38,7 +38,7 @@
 // strictly contains the sc one) -- the number that tells users what
 // turning on store-buffer exploration costs on their workload.
 //
-// The scaling section prices the work-stealing parallel engine
+// The scaling section prices the parallel engine
 // (docs/PERFORMANCE.md): the par_speedup dining workload at jobs
 // 1/2/4/8 with the engine's contention counters read from an attached
 // Observer -- steals, steal_fails, queue_lock_acquires, merge_ns,
@@ -323,7 +323,7 @@ Meas measureMemoryWsq(MemoryModel M, double BudgetSeconds) {
 }
 
 /// One scaling row: the par_speedup dining workload at \p Jobs with an
-/// Observer attached so the work-stealing engine's contention counters
+/// Observer attached so the parallel engine's contention counters
 /// (docs/OBSERVABILITY.md) ride along with the rate.
 struct ScalingMeas {
   Meas M;
@@ -665,7 +665,7 @@ int main(int Argc, char **Argv) {
   }
   Out += "  },\n";
 
-  // Lock contention of the work-stealing engine. The donation-era
+  // Lock contention of the parallel engine. The donation-era
   // engine's floor was two shared-lock acquisitions per execution (the
   // hungry() poll under the queue mutex plus the best-bug mutex in the
   // per-execution hook), so the reduction factor is that floor over the
