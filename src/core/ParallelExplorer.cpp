@@ -28,6 +28,7 @@
 #include "obs/Observer.h"
 
 #include <atomic>
+#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -208,12 +209,16 @@ CheckResult fsmc::runParallel(const TestProgram &Program,
     bool Slot = false;
     // Search-wide index of the item's first buggy execution.
     std::optional<uint64_t> BugAt;
+    // Search-wide index of each pending race incident, in order: the
+    // explorer's own indices count only this worker's executions.
+    std::vector<uint64_t> RaceAt;
 
     E.setExecutionHook([&](Explorer &Ex) {
       Slot = false; // This execution used it.
       const uint64_t N = SH.Executions.fetch_add(1, Relaxed) + 1;
       if (!BugAt && Ex.pending().Bug)
         BugAt = N - 1;
+      RaceAt.resize(Ex.pending().Incidents.size(), N - 1);
       if (SH.MaxExecutions && N >= SH.MaxExecutions) {
         SH.CapHit.store(true, Relaxed);
         raise(SH.StopAll);
@@ -373,6 +378,10 @@ CheckResult fsmc::runParallel(const TestProgram &Program,
     // totals.
     auto MergeT0 = std::chrono::steady_clock::now();
     Attempt A = E.take();
+    assert(RaceAt.size() == A.Incidents.size() && "race missed the hook");
+    for (size_t I = 0; I < A.Incidents.size(); ++I)
+      A.Incidents[I].AtExecution = RaceAt[I];
+    A.SearchWide = true;
     {
       auto L = lock();
       SH.Acc.commit(A);

@@ -77,7 +77,7 @@ ResultAccumulator::ResultAccumulator(const CheckerOptions &Opts,
 
 bool ResultAccumulator::commit(Attempt &A) {
   // Attempt-local execution indices become search-wide ones.
-  const uint64_t Base = Stats.Executions;
+  const uint64_t Base = A.SearchWide ? 0 : Stats.Executions;
   if (Ctr)
     foldIntoCounters(*Ctr, A.Stats);
   mergeSearchStats(Stats, A.Stats);

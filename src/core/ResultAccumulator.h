@@ -62,9 +62,13 @@ struct BestBug {
 
 /// What an explorer hands back (Explorer::take) and a fleet UnitDone
 /// record carries. Unit-local: the stats start from zero, and execution
-/// indices count from the attempt's first execution until commit.
+/// indices count from the attempt's first execution until commit, unless
+/// SearchWide says they are stamped already.
 struct Attempt {
   bool TimedOut = false; ///< The attempt's own time budget expired.
+  /// Execution indices are search-wide already: a --jobs worker stamps
+  /// them from the shared execution counter.
+  bool SearchWide = false;
   uint64_t Rng = 0;      ///< PRNG state at hand-back (serial and isolated
                          ///< runs chain it).
   SearchStats Stats;
@@ -90,9 +94,10 @@ public:
 
   /// Commits one attempt's stats, signatures, incidents (data races
   /// deduplicated by message), profile and bug; its execution indices
-  /// become search-wide. Rem, Rng and TimedOut are the caller's. Touches
-  /// Best only when \p A carries a bug. \returns true when that bug
-  /// became the best.
+  /// become search-wide (offset by the executions committed before it,
+  /// unless Attempt::SearchWide). Rem, Rng and TimedOut are the caller's.
+  /// Touches Best only when \p A carries a bug. \returns true when that
+  /// bug became the best.
   bool commit(Attempt &A);
   /// Records a crash or hang incident at the current execution count and
   /// bumps its stat. An incident whose schedule is not known to reproduce

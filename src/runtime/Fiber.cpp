@@ -7,10 +7,58 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <sys/mman.h>
 #include <unistd.h>
 
 using namespace fsmc;
+
+#if defined(__x86_64__)
+/// fsmc_fiber_switch(SaveSp, LoadSp, To): pushes what the SysV ABI makes
+/// callee-saved -- rbp, rbx, r12-r15, the MXCSR and the x87 control word
+/// -- stores rsp through SaveSp, loads LoadSp, pops the same set from the
+/// stack it names and returns there. Every other register is caller-saved,
+/// so the compiler keeps nothing live in it across the call, and no signal
+/// mask is touched (glibc swapcontext spends an rt_sigprocmask system call
+/// on that). The ret resumes the target inside its own last switch, or on
+/// a fresh stack enters Fiber::trampoline (see initWithEntry); To goes into
+/// rdi on the way, which is trampoline's argument and dead anywhere else.
+/// The fleet forks with live fibers: a saved stack pointer stays valid in
+/// the child's copy of the address space.
+extern "C" void fsmc_fiber_switch(void **SaveSp, void *LoadSp, Fiber *To);
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl fsmc_fiber_switch
+  .hidden fsmc_fiber_switch
+  .type fsmc_fiber_switch, @function
+fsmc_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  movq %rdx, %rdi
+  ret
+  .size fsmc_fiber_switch, .-fsmc_fiber_switch
+  .popsection
+)");
+#endif
 
 #if FSMC_ASAN
 namespace {
@@ -60,15 +108,12 @@ void Fiber::releaseStack() {
 }
 
 void Fiber::initAsHost() {
-  // Nothing to do: the first switchTo() away from the host fills Ctx via
-  // getcontext-like semantics of swapcontext.
+  // Nothing to do: the first switchTo() away from the host saves its
+  // context.
   assert(!StackBase && "host fiber must not own a stack");
 }
 
-void Fiber::trampoline(unsigned HiHalf, unsigned LoHalf) {
-  // makecontext only passes ints; reassemble the Fiber pointer.
-  auto Bits = (uint64_t(HiHalf) << 32) | uint64_t(LoHalf);
-  auto *Self = reinterpret_cast<Fiber *>(uintptr_t(Bits));
+void Fiber::trampoline(Fiber *Self) {
 #if FSMC_ASAN
   // First activation of this fiber: complete the switch ASan saw begin in
   // switchTo, and learn the host stack's extent from it (the stack we
@@ -78,7 +123,16 @@ void Fiber::trampoline(unsigned HiHalf, unsigned LoHalf) {
   Self->Entry(Self->EntryArg);
   // Entry functions must switch away before returning; see Runtime.
   assert(false && "fiber entry returned without switching away");
+  std::abort();
 }
+
+#if !defined(__x86_64__)
+void Fiber::ucontextEntry(unsigned HiHalf, unsigned LoHalf) {
+  // makecontext only passes ints; reassemble the Fiber pointer.
+  auto Bits = (uint64_t(HiHalf) << 32) | uint64_t(LoHalf);
+  trampoline(reinterpret_cast<Fiber *>(uintptr_t(Bits)));
+}
+#endif
 
 bool Fiber::initWithEntry(size_t StackBytes, EntryFn Entry, void *Arg,
                           StackPool *Pool) {
@@ -109,10 +163,32 @@ bool Fiber::initWithEntry(size_t StackBytes, EntryFn Entry, void *Arg,
     this->Pool = Pool;
   }
 
+#if defined(__x86_64__)
+  // The frame the first switch to this fiber pops: the creator's MXCSR
+  // and x87 control word (as getcontext would capture them), six zeroed
+  // registers -- a null rbp ends frame-pointer walks -- and trampoline as
+  // the return address. Above it a null return address ends unwinding at
+  // trampoline, and leaves rsp 8 mod 16 at its entry, as after a call.
+  auto *Top = reinterpret_cast<uint64_t *>(StackBase + Page + Usable);
+  uint32_t Mxcsr;
+  uint16_t X87Cw;
+  asm volatile("stmxcsr %0" : "=m"(Mxcsr));
+  asm volatile("fnstcw %0" : "=m"(X87Cw));
+  Top[-1] = 0;
+  Top[-2] = uint64_t(uintptr_t(&Fiber::trampoline));
+  for (int I = 3; I <= 8; ++I)
+    Top[-I] = 0; // rbp, rbx, r12-r15
+  Top[-9] = uint64_t(Mxcsr) | uint64_t(X87Cw) << 32;
+  Sp = Top - 9;
+#else
   getcontext(&Ctx);
   Ctx.uc_stack.ss_sp = StackBase + Page;
   Ctx.uc_stack.ss_size = Usable;
   Ctx.uc_link = nullptr;
+  auto Bits = uint64_t(uintptr_t(this));
+  makecontext(&Ctx, reinterpret_cast<void (*)()>(&Fiber::ucontextEntry), 2,
+              unsigned(Bits >> 32), unsigned(Bits & 0xffffffffu));
+#endif
   AsanStackBottom = StackBase + Page;
   AsanStackSize = Usable;
 #if FSMC_TSAN
@@ -125,9 +201,6 @@ bool Fiber::initWithEntry(size_t StackBytes, EntryFn Entry, void *Arg,
 
   this->Entry = Entry;
   this->EntryArg = Arg;
-  auto Bits = uint64_t(uintptr_t(this));
-  makecontext(&Ctx, reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
-              unsigned(Bits >> 32), unsigned(Bits & 0xffffffffu));
   return true;
 }
 
@@ -148,11 +221,15 @@ void Fiber::switchTo(Fiber &From, Fiber &To) {
   size_t Size = To.StackBase ? To.AsanStackSize : HostStackSize;
   void *FakeStack = nullptr;
   __sanitizer_start_switch_fiber(&FakeStack, Bottom, Size);
-  [[maybe_unused]] int RC = swapcontext(&From.Ctx, &To.Ctx);
-  // Control came back to From (possibly much later, from another fiber).
-  __sanitizer_finish_switch_fiber(FakeStack, nullptr, nullptr);
+#endif
+#if defined(__x86_64__)
+  fsmc_fiber_switch(&From.Sp, To.Sp, &To);
 #else
   [[maybe_unused]] int RC = swapcontext(&From.Ctx, &To.Ctx);
-#endif
   assert(RC == 0 && "swapcontext failed");
+#endif
+#if FSMC_ASAN
+  // Control came back to From (possibly much later, from another fiber).
+  __sanitizer_finish_switch_fiber(FakeStack, nullptr, nullptr);
+#endif
 }

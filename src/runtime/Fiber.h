@@ -6,7 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// User-space execution contexts (fibers) built on POSIX ucontext.
+/// User-space execution contexts (fibers). On x86-64 a switch is a short
+/// hand-written routine that saves the callee-saved registers on the
+/// current stack and swaps stack pointers, with no system call; other
+/// architectures fall back to POSIX ucontext.
 ///
 /// CHESS intercepts Win32/.NET synchronization calls made by real OS
 /// threads and serializes them with semaphores. This repository substitutes
@@ -22,7 +25,9 @@
 #define FSMC_RUNTIME_FIBER_H
 
 #include <cstddef>
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 namespace fsmc {
 
@@ -79,9 +84,17 @@ public:
   static constexpr size_t DefaultStackBytes = 256 * 1024;
 
 private:
-  static void trampoline(unsigned HiHalf, unsigned LoHalf);
+  /// First code a new fiber runs; \p Self is the fiber being started.
+  [[noreturn]] static void trampoline(Fiber *Self);
 
+#if defined(__x86_64__)
+  /// Stack pointer saved by the last switch away from this fiber (or laid
+  /// out by initWithEntry); its stack holds the saved registers.
+  void *Sp = nullptr;
+#else
+  static void ucontextEntry(unsigned HiHalf, unsigned LoHalf);
   ucontext_t Ctx = {};
+#endif
   char *StackBase = nullptr; ///< mmap base (guard page + usable stack).
   size_t MappedBytes = 0;
   StackPool *Pool = nullptr; ///< Where StackBase goes back on release.

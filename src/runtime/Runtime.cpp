@@ -486,10 +486,10 @@ StepStatus Runtime::step(Tid T) {
   assert(Threads[T]->Pending.isEnabled() && "stepping a disabled thread");
   assert(!Failed && "stepping after a failure");
 #ifndef NDEBUG
-  // Fibers are ucontexts bound to the stack of the OS thread that first
-  // stepped them; migrating a Runtime across OS threads mid-execution
-  // would switch onto a foreign stack. Each Runtime has exactly one
-  // owning OS thread for its whole lifetime.
+  // Fibers are bound to the stack of the OS thread that first stepped
+  // them; migrating a Runtime across OS threads mid-execution would
+  // switch onto a foreign stack. Each Runtime has exactly one owning OS
+  // thread for its whole lifetime.
   if (OwnerThread == std::thread::id())
     OwnerThread = std::this_thread::get_id();
   assert(OwnerThread == std::this_thread::get_id() &&

@@ -14,9 +14,9 @@
 /// nothing in non-sanitizer builds.
 ///
 /// FSMC_TSAN: 1 when compiling under ThreadSanitizer (the `tsan` CMake
-/// preset), 0 otherwise. TSan models each ucontext fiber as its own
-/// logical thread: every fiber gets a __tsan_create_fiber handle, every
-/// swapcontext is announced with __tsan_switch_to_fiber, and recycled
+/// preset), 0 otherwise. TSan models each fiber as its own logical
+/// thread: every fiber gets a __tsan_create_fiber handle, every stack
+/// switch is announced with __tsan_switch_to_fiber, and recycled
 /// stacks get a fresh handle so two logical fibers never share TSan
 /// state. Without this, TSan sees one OS thread whose stack pointer
 /// teleports and reports garbage. This is what lets the checker's own

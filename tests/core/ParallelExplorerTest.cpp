@@ -18,6 +18,8 @@
 #include "core/ParallelExplorer.h"
 #include "core/Schedule.h"
 #include "runtime/Runtime.h"
+#include "sync/Plain.h"
+#include "sync/TestThread.h"
 #include "workloads/DiningPhilosophers.h"
 #include "workloads/Peterson.h"
 #include "workloads/SpinWait.h"
@@ -260,6 +262,48 @@ TEST(ParallelFirstBug, BugIndexIsSearchWide) {
     EXPECT_EQ(R.Bug->Schedule, Serial.Bug->Schedule);
     EXPECT_GE(R.Bug->AtExecution, 1u);
     EXPECT_LT(R.Bug->AtExecution, R.Stats.Executions);
+  }
+}
+
+TEST(ParallelFirstBug, RaceIndexIsSearchWide) {
+  // The same shape, but branch 1 races before it fails, under
+  // --races=on. With no preemptions branch 1 is one execution, so the
+  // race and the bug come from the same one. A --jobs worker stamps both
+  // from the shared execution counter: the race must not count from
+  // whichever worker committed its results first.
+  TestProgram P;
+  P.Name = "late-race";
+  P.Body = [] {
+    if (Runtime::current().chooseInt(2) == 0) {
+      Runtime::current().chooseInt(64);
+      Runtime::current().chooseInt(64);
+      return;
+    }
+    auto X = std::make_shared<PlainVar<int>>(0, "x");
+    TestThread W([X] { X->store(1); }, "w");
+    X->store(2);
+    W.join();
+    checkThat(false, "branch 1 fails");
+  };
+  CheckerOptions O;
+  O.Kind = SearchKind::ContextBounded;
+  O.ContextBound = 0;
+  O.Races = RaceCheckMode::On;
+  for (int Jobs : {1, 2, 4, 8}) {
+    SCOPED_TRACE("jobs=" + std::to_string(Jobs));
+    O.Jobs = Jobs;
+    CheckResult R = check(P, O);
+    ASSERT_TRUE(R.Bug.has_value());
+    ASSERT_EQ(R.Incidents.size(), 1u);
+    const BugReport &Race = R.Incidents.front();
+    EXPECT_EQ(Race.Kind, Verdict::DataRace);
+    EXPECT_EQ(Race.Schedule, R.Bug->Schedule);
+    EXPECT_EQ(Race.AtExecution, R.Bug->AtExecution);
+    if (Jobs == 1) {
+      EXPECT_EQ(Race.AtExecution, 4096u);
+    }
+    EXPECT_GE(Race.AtExecution, 1u);
+    EXPECT_LT(Race.AtExecution, R.Stats.Executions);
   }
 }
 
